@@ -1,8 +1,8 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
 Not a paper table — these quantify the substrate decisions of this
-reproduction: the bit-parallel oracle vs the bigint backend vs serial
-replay, and LUT-mapper throughput. They justify why campaigns of paper
+reproduction: the bit-parallel bigint backend vs serial replay, and
+LUT-mapper throughput. They justify why campaigns of paper
 scale run in seconds in pure Python.
 """
 
@@ -14,12 +14,6 @@ from repro.sim.compile import compile_netlist
 from repro.sim.cycle import CycleSimulator, replay_single_fault, run_golden
 from repro.sim.parallel import grade_faults
 from repro.synth.lutmap import map_to_luts
-
-
-def test_bench_oracle_numpy(benchmark, b14, b14_bench, b14_faults):
-    """34,400 faults, numpy backend — the production path."""
-    result = once(benchmark, grade_faults, b14, b14_bench, b14_faults, "numpy")
-    assert result.num_faults == len(b14_faults)
 
 
 def test_bench_oracle_bigint_sample(benchmark, b14, b14_bench, b14_faults):

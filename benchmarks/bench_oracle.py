@@ -26,7 +26,6 @@ from benchmarks.conftest import once
 from repro.run.runner import CampaignRunner, default_pool_workers
 from repro.run.spec import CampaignSpec
 from repro.sim.backends import available_engines, get_engine
-from repro.sim.backends.fused import FusedEngine
 from repro.sim.cache import compiled_for, golden_for
 from repro.sim.parallel import grade_faults
 
@@ -51,15 +50,6 @@ def test_bench_oracle_backend(benchmark, b14, b14_bench, b14_faults, backend):
     print(f"\n{backend}: {us_per_fault:.3f} us/fault on {len(b14_faults)} faults")
 
 
-def test_bench_fused_python_plan(benchmark, b14, b14_bench, b14_faults, monkeypatch):
-    """The fused engine's pure-numpy fallback (no C compiler available)."""
-    monkeypatch.setattr(FusedEngine, "use_native", False)
-    result = once(
-        benchmark, grade_faults, b14, b14_bench, b14_faults, backend="fused"
-    )
-    assert len(result.fail_cycles) == len(b14_faults)
-
-
 @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
 def test_bench_sharded_runner(benchmark, b14, b14_bench, b14_faults, workers):
     """Campaign-runner grading of the b14 oracle, workers=1 vs a pool —
@@ -77,7 +67,7 @@ def test_bench_sharded_runner(benchmark, b14, b14_bench, b14_faults, workers):
 class TestOracleSpeedContract:
     """The acceptance bar this repo holds the default engine to."""
 
-    def test_fused_is_default_and_at_least_5x_numpy(
+    def test_fused_is_default_and_at_least_2_5x_bigint(
         self, b14, b14_bench, b14_faults
     ):
         import time
@@ -85,7 +75,7 @@ class TestOracleSpeedContract:
         from repro.sim.parallel import DEFAULT_BACKEND
 
         assert DEFAULT_BACKEND == "fused"
-        # warm program/plan caches before timing
+        # warm the program and mask caches before timing
         grade_faults(b14, b14_bench, b14_faults, backend="fused")
 
         started = time.perf_counter()
@@ -93,14 +83,16 @@ class TestOracleSpeedContract:
         fused_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        reference = grade_faults(b14, b14_bench, b14_faults, backend="numpy")
-        numpy_seconds = time.perf_counter() - started
+        reference = grade_faults(b14, b14_bench, b14_faults, backend="bigint")
+        bigint_seconds = time.perf_counter() - started
 
         assert fused.fail_cycles == reference.fail_cycles
         assert fused.vanish_cycles == reference.vanish_cycles
         if get_engine("fused").last_stats.get("native"):
-            assert numpy_seconds / fused_seconds >= 5.0, (
-                f"fused {fused_seconds:.3f}s vs numpy {numpy_seconds:.3f}s"
+            # The old 5x-over-numpy bar: numpy ran ~1.98x slower than
+            # bigint per fault on b14, so the same absolute bar is 2.5x.
+            assert bigint_seconds / fused_seconds >= 2.5, (
+                f"fused {fused_seconds:.3f}s vs bigint {bigint_seconds:.3f}s"
             )
 
 

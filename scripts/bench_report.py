@@ -10,9 +10,8 @@ Usage::
 
 The JSON carries an append-only ``history`` list: every run adds a
 timestamped entry recording the machine fingerprint, kernel flags
-(native / thread count), seconds and us/fault per backend (plus the
-fused engine's pure-numpy fallback path) and warmup-separated
-sharded-runner rows for every ``--workers`` count measured. The
+(native / thread count), seconds and us/fault per backend and
+warmup-separated sharded-runner rows for every ``--workers`` count measured. The
 top-level summary fields are **derived from the newest history entry
 on write** — they exist for greppability and old tooling, but the
 history tail is the source of truth, so the two can never disagree.
@@ -26,10 +25,12 @@ spin-up, compile time or per-shard overhead differences.
 holds history entries from the *same machine fingerprint*, the gate
 compares absolute us/fault against the best such entry. Otherwise
 (CI machine differs from the committing machine) it re-measures the
-numpy reference engine in the same run and scales the baseline's fused
-number by the observed numpy ratio — machine speed cancels, and what
+bigint reference engine in the same run and scales the baseline's fused
+number by the observed bigint ratio — machine speed cancels, and what
 remains is the fused engine's speed relative to a fixed yardstick that
-changes only when engine code changes. It never rewrites the baseline —
+changes only when engine code changes. On a host without a C compiler
+the fused engine runs the bigint loops, so it is gated against the
+baseline's bigint row instead. It never rewrites the baseline —
 refreshing it is a deliberate act (rerun without ``--check`` and commit
 the diff).
 """
@@ -57,7 +58,6 @@ from repro.run.runner import (  # noqa: E402
 )
 from repro.run.spec import CampaignSpec  # noqa: E402
 from repro.sim.backends import available_engines, get_engine  # noqa: E402
-from repro.sim.backends.fused import FusedEngine  # noqa: E402
 from repro.sim.cache import compiled_for, golden_for  # noqa: E402
 from repro.sim.parallel import DEFAULT_BACKEND, grade_faults  # noqa: E402
 
@@ -155,10 +155,10 @@ def check_regression(baseline_path: str, threshold: float, repeats: int) -> int:
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     baseline_fused = baseline_backend_us(baseline, "fused")
-    baseline_numpy = baseline_backend_us(baseline, "numpy")
-    if baseline_fused is None or baseline_numpy is None:
+    baseline_bigint = baseline_backend_us(baseline, "bigint")
+    if baseline_fused is None or baseline_bigint is None:
         print(
-            f"baseline {baseline_path} records no fused/numpy measurement",
+            f"baseline {baseline_path} records no fused/bigint measurement",
             file=sys.stderr,
         )
         return 1
@@ -188,27 +188,24 @@ def check_regression(baseline_path: str, threshold: float, repeats: int) -> int:
             f"{1 + threshold:.2f}x, native kernel: {native})"
         )
     else:
-        if baseline.get("fused_native_kernel") and not native:
+        if not native:
             # Apples to apples: without a C compiler the fused engine
-            # runs its numpy plan, which the committed fused row did not
-            # measure.
-            plan_us = baseline_backend_us(baseline, "fused (numpy plan)")
-            if plan_us is not None:
-                baseline_fused = plan_us
-                print(
-                    "no native kernel here; gating vs the plan-path baseline "
-                    f"({baseline_fused:.3f} us/fault)"
-                )
-        numpy_now = measure(
-            circuit, bench, faults, "numpy", max(1, repeats - 1)
+            # runs the bigint loops, so the bigint row is its baseline.
+            baseline_fused = baseline_bigint
+            print(
+                "no native kernel here; gating vs the bigint baseline "
+                f"({baseline_fused:.3f} us/fault)"
+            )
+        bigint_now = measure(
+            circuit, bench, faults, "bigint", max(1, repeats - 1)
         )["us_per_fault"]
-        machine_scale = numpy_now / baseline_numpy
+        machine_scale = bigint_now / baseline_bigint
         expected = baseline_fused * machine_scale
         ratio = measured / expected
         print(
             f"fused oracle: measured {measured:.3f} us/fault; baseline "
-            f"{baseline_fused:.3f} scaled by numpy ratio "
-            f"{machine_scale:.2f} ({numpy_now:.3f}/{baseline_numpy:.3f}) -> "
+            f"{baseline_fused:.3f} scaled by bigint ratio "
+            f"{machine_scale:.2f} ({bigint_now:.3f}/{baseline_bigint:.3f}) -> "
             f"expected {expected:.3f} us/fault ({ratio:.2f}x, gate at "
             f"{1 + threshold:.2f}x, native kernel: {native})"
         )
@@ -248,7 +245,7 @@ def measure_runner_rows(
         ):
             print(
                 f"ERROR: sharded runner (workers={workers}) disagrees "
-                "with numpy",
+                "with bigint",
                 file=sys.stderr,
             )
             return None
@@ -273,7 +270,7 @@ def summary_from_entry(entry: dict) -> dict:
     entry the single source of truth.
     """
     seconds = entry["backends_seconds"]
-    numpy_seconds = seconds["numpy"]
+    bigint_seconds = seconds["bigint"]
     return {
         "circuit": entry["circuit"],
         "num_faults": entry["num_faults"],
@@ -289,7 +286,7 @@ def summary_from_entry(entry: dict) -> dict:
             name: {
                 "seconds": seconds[name],
                 "us_per_fault": us_per_fault,
-                "speedup_vs_numpy": round(numpy_seconds / seconds[name], 2),
+                "speedup_vs_bigint": round(bigint_seconds / seconds[name], 2),
             }
             for name, us_per_fault in entry["backends"].items()
         },
@@ -342,24 +339,12 @@ def main() -> int:
         )
     flags = kernel_flags()
 
-    FusedEngine.use_native = False
-    try:
-        rows["fused (numpy plan)"] = measure(
-            circuit, bench, faults, "fused", max(1, args.repeats - 1)
-        )
-        print(
-            f"{'fused-plan':>12}: {rows['fused (numpy plan)']['seconds']:7.3f} s "
-            f"({rows['fused (numpy plan)']['us_per_fault']:7.3f} us/fault)"
-        )
-    finally:
-        FusedEngine.use_native = True
-
-    reference = rows["numpy"]
+    reference = rows["bigint"]
     for name, row in rows.items():
         if row["fail_cycles"] != reference["fail_cycles"] or (
             row["vanish_cycles"] != reference["vanish_cycles"]
         ):
-            print(f"ERROR: backend {name!r} disagrees with numpy", file=sys.stderr)
+            print(f"ERROR: backend {name!r} disagrees with bigint", file=sys.stderr)
             return 1
 
     worker_counts = RUNNER_WORKERS
@@ -390,7 +375,7 @@ def main() -> int:
             "num_cycles": bench.num_cycles,
             "default_backend": DEFAULT_BACKEND,
             "fused_us_per_fault": rows["fused"]["us_per_fault"],
-            "numpy_us_per_fault": rows["numpy"]["us_per_fault"],
+            "bigint_us_per_fault": rows["bigint"]["us_per_fault"],
             "backends": {
                 name: row["us_per_fault"] for name, row in rows.items()
             },
@@ -411,8 +396,8 @@ def main() -> int:
         handle.write("\n")
     print(f"wrote {args.output} ({len(history)} history entries)")
 
-    fused_speedup = report["backends"]["fused"]["speedup_vs_numpy"]
-    print(f"fused speedup vs numpy: {fused_speedup}x")
+    fused_speedup = report["backends"]["fused"]["speedup_vs_bigint"]
+    print(f"fused speedup vs bigint: {fused_speedup}x")
     return 0
 
 

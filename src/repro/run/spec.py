@@ -31,6 +31,7 @@ from repro.faults.model import SeuFault
 from repro.faults.models import DEFAULT_FAULT_MODEL, FaultModel, get_fault_model
 from repro.faults.sampling import SAMPLING_METHODS, draw_sample
 from repro.netlist.netlist import Netlist
+from repro.sim.backends import get_engine
 from repro.sim.parallel import DEFAULT_BACKEND
 from repro.sim.vectors import (
     Testbench,
@@ -212,6 +213,7 @@ class CampaignSpec:
             )
         get_fault_model(self.fault_model)  # fail early on unknown models
         board_by_name(self.board)  # fail early on unknown boards
+        get_engine(self.engine)  # fail early on unknown engines
 
     # ------------------------------------------------------------------
     # resolution

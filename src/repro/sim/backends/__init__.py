@@ -4,12 +4,15 @@ The oracle's algorithm (parallel-pattern SEU grading producing
 ``fail_cycle`` / ``vanish_cycle`` per fault) is fixed; *engines* are
 interchangeable executors of that algorithm, registered by name:
 
-* ``fused``  — batched per-opcode numpy kernels, active-lane windowing
-  and resolved-fault early exit (the default; see
-  :mod:`repro.sim.backends.fused`);
-* ``numpy``  — the classic row-per-net uint64 implementation with per-op
-  Python dispatch;
-* ``bigint`` — dependency-free Python-int lanes, the trusted cross-check.
+* ``fused``  — the default: a lazily compiled C cycle kernel with lane
+  compaction and resolved-fault early exit for SEU campaigns, falling
+  back to the ``bigint`` loops for other fault models or when no C
+  compiler is available (see :mod:`repro.sim.backends.fused`);
+* ``bigint`` — dependency-free Python-int lanes, the portable fallback
+  and second reference.
+
+The serial :func:`repro.sim.cycle.replay_fault` is the semantic oracle
+both are checked against.
 
 Third-party engines can subclass :class:`GradingEngine` and decorate with
 :func:`register_engine`; ``grade_faults(..., backend=<name>)`` then picks
@@ -26,7 +29,6 @@ from repro.sim.backends.base import (
 # Importing the engine modules registers the built-in engines.
 from repro.sim.backends import bigint_engine as _bigint_engine  # noqa: F401
 from repro.sim.backends import fused as _fused  # noqa: F401
-from repro.sim.backends import numpy_engine as _numpy_engine  # noqa: F401
 from repro.sim.backends.fused import FusedProgram, build_fused_program
 
 __all__ = [

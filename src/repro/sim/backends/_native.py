@@ -1,10 +1,10 @@
 """Optional native cycle kernel for the fused grading engine.
 
-The fused engine's numpy plan is dispatch- and bandwidth-bound: each
-batched kernel streams its rows through memory and numpy's per-call
-overhead dominates once the active fault window narrows. This module
-closes that gap with a small C library, compiled lazily with the system
-C compiler on first use, that provides three entry points:
+Interpreting the op program from Python is dispatch- and bandwidth-bound:
+every gate is a separate call that streams its rows through memory. This
+module runs the fused engine's op table instead in a small C library,
+compiled lazily with the system C compiler on first use, that provides
+three entry points:
 
 ``repro_grade_cycle``
     One full emulation cycle — input drive, the 2-input op program,
@@ -34,7 +34,7 @@ C compiler on first use, that provides three entry points:
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_FUSED_NATIVE=0`` in the environment simply returns ``None`` and
-the fused engine falls back to its pure-numpy plan (same results,
+the fused engine falls back to the ``bigint`` loops (same results,
 slower). The compiled library is cached under ``~/.cache`` keyed by a
 hash of the source and the CPU identity, so a machine pays the compile
 once. No third-party packages are involved — only ``ctypes`` and the

@@ -34,7 +34,7 @@ class GradingEngine(ABC):
     name: str = ""
 
     #: diagnostics of the most recent :meth:`grade` call (engine-specific
-    #: keys; the fused engine reports early-exit and windowing counters).
+    #: keys; the fused engine reports early-exit and compaction counters).
     last_stats: Dict[str, int]
 
     def __init__(self) -> None:
@@ -53,6 +53,9 @@ class GradingEngine(ABC):
 
 _REGISTRY: Dict[str, GradingEngine] = {}
 
+#: names of deleted engines -> the replacement to name in the error
+_REMOVED = {"numpy": "fused (the default) or bigint"}
+
 
 def register_engine(engine_cls: Type[GradingEngine]) -> Type[GradingEngine]:
     """Class decorator: instantiate and register an engine by its name."""
@@ -68,6 +71,10 @@ def get_engine(name: str) -> GradingEngine:
     try:
         return _REGISTRY[name]
     except KeyError:
+        if name in _REMOVED:
+            raise CampaignError(
+                f"the {name!r} engine was removed; use {_REMOVED[name]}"
+            ) from None
         raise CampaignError(
             f"unknown backend {name!r}; available engines: "
             + ", ".join(available_engines())

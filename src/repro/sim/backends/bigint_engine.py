@@ -2,12 +2,14 @@
 
 Nets are arbitrary-precision Python ints, one fault per bit position. This
 engine needs nothing beyond the standard library, which makes it the
-trusted cross-check for the numpy-based engines and the natural choice for
-small runs in constrained environments.
+second reference for the fused engine's native kernel and the portable
+fallback the fused engine runs for every schedule the kernel does not
+take (non-SEU fault models, or no C compiler).
 
-Plain SEU campaigns take the original loop verbatim; other fault models
-run the generic branch (multi-flop flips, per-cycle force re-application,
-final-suffix vanish semantics) — see :mod:`repro.sim.inject`.
+Plain SEU campaigns take the original loop; other fault models run the
+generic branch (multi-flop flips, per-cycle force re-application,
+final-suffix vanish semantics) — see :mod:`repro.sim.inject`. Both loops
+stop once every verdict is final, as the native kernel does.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.sim.compile import (
     CompiledNetlist,
 )
 from repro.sim.cycle import GoldenTrace
-from repro.sim.inject import schedule_for
+from repro.sim.inject import InjectionSchedule, schedule_for
 from repro.sim.vectors import Testbench
 
 
@@ -90,6 +92,228 @@ def _set_lanes(target: List[int], mask: int, cycle: int) -> None:
         mask ^= low_bit
 
 
+# ----------------------------------------------------------------------
+# the original SEU loop (one-shot XOR, first-match vanish)
+# ----------------------------------------------------------------------
+def _grade_simple(
+    compiled: CompiledNetlist,
+    testbench: Testbench,
+    faults: Sequence[SeuFault],
+    golden: GoldenTrace,
+) -> Tuple[List[int], List[int], int]:
+    num_faults = len(faults)
+    all_ones = (1 << num_faults) - 1
+
+    values = [0] * compiled.num_slots
+
+    injections: Dict[int, List] = {}
+    for index, fault in enumerate(faults):
+        q_slot = compiled.flops[fault.flop_index].q_index
+        injections.setdefault(fault.cycle, []).append((q_slot, 1 << index))
+
+    injected_mask_by_cycle: List[int] = []
+    running = 0
+    by_cycle: Dict[int, int] = {}
+    for index, fault in enumerate(faults):
+        by_cycle[fault.cycle] = by_cycle.get(fault.cycle, 0) | (1 << index)
+    for cycle in range(testbench.num_cycles):
+        running |= by_cycle.get(cycle, 0)
+        injected_mask_by_cycle.append(running)
+
+    reset = golden.states[0]
+    for position, flop in enumerate(compiled.flops):
+        values[flop.q_index] = all_ones if (reset >> position) & 1 else 0
+
+    fail_cycle = [-1] * num_faults
+    vanish_cycle = [-1] * num_faults
+    not_failed = all_ones
+    not_vanished = all_ones
+
+    for cycle in range(testbench.num_cycles):
+        for q_slot, bit in injections.get(cycle, ()):
+            values[q_slot] ^= bit
+
+        vector = testbench.vectors[cycle]
+        for position, slot in enumerate(compiled.input_slots):
+            values[slot] = all_ones if (vector >> position) & 1 else 0
+
+        _eval_ops_int(values, compiled.ops, all_ones)
+
+        golden_out = golden.outputs[cycle]
+        out_diff = 0
+        for position, slot in enumerate(compiled.output_slots):
+            if (golden_out >> position) & 1:
+                out_diff |= values[slot] ^ all_ones
+            else:
+                out_diff |= values[slot]
+
+        injected = injected_mask_by_cycle[cycle]
+        newly_failed = out_diff & not_failed & injected
+        while newly_failed:
+            low_bit = newly_failed & -newly_failed
+            fail_cycle[low_bit.bit_length() - 1] = cycle
+            newly_failed ^= low_bit
+        not_failed &= ~(out_diff & injected)
+
+        next_rows = [values[flop.d_index] for flop in compiled.flops]
+        golden_next = golden.states[cycle + 1]
+        state_diff = 0
+        for position, row in enumerate(next_rows):
+            if (golden_next >> position) & 1:
+                state_diff |= row ^ all_ones
+            else:
+                state_diff |= row
+        for flop, row in zip(compiled.flops, next_rows):
+            values[flop.q_index] = row
+
+        same = (state_diff ^ all_ones) & all_ones
+        newly_vanished = same & not_vanished & injected
+        while newly_vanished:
+            low_bit = newly_vanished & -newly_vanished
+            vanish_cycle[low_bit.bit_length() - 1] = cycle
+            newly_vanished ^= low_bit
+        not_vanished &= ~(same & injected)
+
+        if not not_vanished:
+            # Every lane is injected (uninjected lanes keep their bit)
+            # and back on the golden state, which it then tracks: every
+            # verdict is final, so skip the tail of the testbench.
+            return fail_cycle, vanish_cycle, cycle + 1
+
+    return fail_cycle, vanish_cycle, testbench.num_cycles
+
+
+# ----------------------------------------------------------------------
+# the generic loop (multi-flop flips, per-cycle force re-application)
+# ----------------------------------------------------------------------
+def _grade_general(
+    compiled: CompiledNetlist,
+    testbench: Testbench,
+    golden: GoldenTrace,
+    schedule: InjectionSchedule,
+) -> Tuple[List[int], List[int], int]:
+    num_faults = schedule.num_faults
+    num_cycles = testbench.num_cycles
+    all_ones = (1 << num_faults) - 1
+    q_slots = [flop.q_index for flop in compiled.flops]
+
+    values = [0] * compiled.num_slots
+    reset = golden.states[0]
+    for position, slot in enumerate(q_slots):
+        values[slot] = all_ones if (reset >> position) & 1 else 0
+
+    fail_cycle = [-1] * num_faults
+    vanish_cycle = [-1] * num_faults
+    not_failed = all_ones
+
+    # Per-flop force lanes, re-applied to the held state every cycle.
+    force_mask = [0] * len(q_slots)
+    force_set = [0] * len(q_slots)
+    forced_rows: set = set()
+
+    activations: Dict[int, int] = {}
+    for lane, cycle in enumerate(schedule.first_active):
+        activations[cycle] = activations.get(cycle, 0) | (1 << lane)
+    last_activation = max(activations, default=-1)
+
+    state = {"injected": 0, "no_candidate": all_ones}
+
+    def apply_cycle_events(cycle: int) -> None:
+        for flop_index, lane in schedule.flips.get(cycle, ()):
+            values[q_slots[flop_index]] ^= 1 << lane
+        for flop_index, lane, value in schedule.force_on.get(cycle, ()):
+            bit = 1 << lane
+            force_mask[flop_index] |= bit
+            if value:
+                force_set[flop_index] |= bit
+            forced_rows.add(flop_index)
+        for flop_index, lane in schedule.force_off.get(cycle, ()):
+            bit = 1 << lane
+            force_mask[flop_index] &= ~bit
+            force_set[flop_index] &= ~bit
+        for flop_index in forced_rows:
+            slot = q_slots[flop_index]
+            values[slot] = (values[slot] & ~force_mask[flop_index]) | (
+                force_set[flop_index]
+            )
+
+    def update_vanish(state_word: int, end_cycle: int) -> None:
+        state_diff = 0
+        for position, slot in enumerate(q_slots):
+            if (state_word >> position) & 1:
+                state_diff |= values[slot] ^ all_ones
+            else:
+                state_diff |= values[slot]
+        conv = (state_diff ^ all_ones) & state["injected"]
+        newly = conv & state["no_candidate"]
+        if newly:
+            _set_lanes(vanish_cycle, newly, end_cycle)
+            state["no_candidate"] &= ~newly
+        lost = state_diff & state["injected"] & ~state["no_candidate"]
+        if lost:
+            _set_lanes(vanish_cycle, lost, -1)
+            state["no_candidate"] |= lost
+
+    for cycle in range(num_cycles):
+        apply_cycle_events(cycle)
+        if cycle > 0:
+            update_vanish(golden.states[cycle], cycle - 1)
+        state["injected"] |= activations.get(cycle, 0)
+
+        vector = testbench.vectors[cycle]
+        for position, slot in enumerate(compiled.input_slots):
+            values[slot] = all_ones if (vector >> position) & 1 else 0
+
+        _eval_ops_int(values, compiled.ops, all_ones)
+
+        golden_out = golden.outputs[cycle]
+        out_diff = 0
+        for position, slot in enumerate(compiled.output_slots):
+            if (golden_out >> position) & 1:
+                out_diff |= values[slot] ^ all_ones
+            else:
+                out_diff |= values[slot]
+        newly_failed = out_diff & not_failed & state["injected"]
+        if newly_failed:
+            _set_lanes(fail_cycle, newly_failed, cycle)
+            not_failed &= ~newly_failed
+
+        next_rows = [values[flop.d_index] for flop in compiled.flops]
+        for slot, row in zip(q_slots, next_rows):
+            values[slot] = row
+
+        if (
+            not schedule.persistent
+            and cycle >= last_activation
+            and not state["no_candidate"]
+        ):
+            # Transient faults cannot re-diverge: every lane has
+            # converged and no injection remains, so fail/vanish are
+            # final — skip the tail (and the post-bench compare).
+            return fail_cycle, vanish_cycle, cycle + 1
+
+    apply_cycle_events(num_cycles)
+    update_vanish(golden.states[num_cycles], num_cycles - 1)
+    return fail_cycle, vanish_cycle, num_cycles
+
+
+def grade_scheduled(
+    compiled: CompiledNetlist,
+    testbench: Testbench,
+    faults: Sequence[SeuFault],
+    golden: GoldenTrace,
+    schedule: InjectionSchedule,
+) -> Tuple[List[int], List[int], int]:
+    """Grade ``faults`` under their prebuilt ``schedule``.
+
+    Returns ``(fail_cycles, vanish_cycles, cycles_executed)``; the fused
+    engine's fallback shares this entry point with :class:`BigintEngine`.
+    """
+    if schedule.simple:
+        return _grade_simple(compiled, testbench, faults, golden)
+    return _grade_general(compiled, testbench, golden, schedule)
+
+
 @register_engine
 class BigintEngine(GradingEngine):
     """Bit-parallel grading over Python bigints."""
@@ -104,203 +328,11 @@ class BigintEngine(GradingEngine):
         golden: GoldenTrace,
     ) -> Tuple[List[int], List[int]]:
         schedule = schedule_for(faults, testbench.num_cycles, compiled.num_flops)
-        if schedule.simple:
-            return self._grade_simple(compiled, testbench, faults, golden)
-        return self._grade_general(compiled, testbench, golden, schedule)
-
-    # ------------------------------------------------------------------
-    # the original SEU loop (one-shot XOR, first-match vanish)
-    # ------------------------------------------------------------------
-    def _grade_simple(
-        self,
-        compiled: CompiledNetlist,
-        testbench: Testbench,
-        faults: Sequence[SeuFault],
-        golden: GoldenTrace,
-    ) -> Tuple[List[int], List[int]]:
-        num_faults = len(faults)
-        all_ones = (1 << num_faults) - 1
-
-        values = [0] * compiled.num_slots
-
-        injections: Dict[int, List] = {}
-        for index, fault in enumerate(faults):
-            q_slot = compiled.flops[fault.flop_index].q_index
-            injections.setdefault(fault.cycle, []).append((q_slot, 1 << index))
-
-        injected_mask_by_cycle: List[int] = []
-        running = 0
-        by_cycle: Dict[int, int] = {}
-        for index, fault in enumerate(faults):
-            by_cycle[fault.cycle] = by_cycle.get(fault.cycle, 0) | (1 << index)
-        for cycle in range(testbench.num_cycles):
-            running |= by_cycle.get(cycle, 0)
-            injected_mask_by_cycle.append(running)
-
-        reset = golden.states[0]
-        for position, flop in enumerate(compiled.flops):
-            values[flop.q_index] = all_ones if (reset >> position) & 1 else 0
-
-        fail_cycle = [-1] * num_faults
-        vanish_cycle = [-1] * num_faults
-        not_failed = all_ones
-        not_vanished = all_ones
-
-        for cycle in range(testbench.num_cycles):
-            for q_slot, bit in injections.get(cycle, ()):
-                values[q_slot] ^= bit
-
-            vector = testbench.vectors[cycle]
-            for position, slot in enumerate(compiled.input_slots):
-                values[slot] = all_ones if (vector >> position) & 1 else 0
-
-            _eval_ops_int(values, compiled.ops, all_ones)
-
-            golden_out = golden.outputs[cycle]
-            out_diff = 0
-            for position, slot in enumerate(compiled.output_slots):
-                if (golden_out >> position) & 1:
-                    out_diff |= values[slot] ^ all_ones
-                else:
-                    out_diff |= values[slot]
-
-            injected = injected_mask_by_cycle[cycle]
-            newly_failed = out_diff & not_failed & injected
-            while newly_failed:
-                low_bit = newly_failed & -newly_failed
-                fail_cycle[low_bit.bit_length() - 1] = cycle
-                newly_failed ^= low_bit
-            not_failed &= ~(out_diff & injected)
-
-            next_rows = [values[flop.d_index] for flop in compiled.flops]
-            golden_next = golden.states[cycle + 1]
-            state_diff = 0
-            for position, row in enumerate(next_rows):
-                if (golden_next >> position) & 1:
-                    state_diff |= row ^ all_ones
-                else:
-                    state_diff |= row
-            for flop, row in zip(compiled.flops, next_rows):
-                values[flop.q_index] = row
-
-            same = (state_diff ^ all_ones) & all_ones
-            newly_vanished = same & not_vanished & injected
-            while newly_vanished:
-                low_bit = newly_vanished & -newly_vanished
-                vanish_cycle[low_bit.bit_length() - 1] = cycle
-                newly_vanished ^= low_bit
-            not_vanished &= ~(same & injected)
-
+        fail_cycle, vanish_cycle, executed = grade_scheduled(
+            compiled, testbench, faults, golden, schedule
+        )
         self.last_stats = {
-            "cycles_executed": testbench.num_cycles,
+            "cycles_executed": executed,
             "num_cycles": testbench.num_cycles,
-        }
-        return fail_cycle, vanish_cycle
-
-    # ------------------------------------------------------------------
-    # the generic loop (multi-flop flips, per-cycle force re-application)
-    # ------------------------------------------------------------------
-    def _grade_general(
-        self,
-        compiled: CompiledNetlist,
-        testbench: Testbench,
-        golden: GoldenTrace,
-        schedule,
-    ) -> Tuple[List[int], List[int]]:
-        num_faults = schedule.num_faults
-        num_cycles = testbench.num_cycles
-        all_ones = (1 << num_faults) - 1
-        q_slots = [flop.q_index for flop in compiled.flops]
-
-        values = [0] * compiled.num_slots
-        reset = golden.states[0]
-        for position, slot in enumerate(q_slots):
-            values[slot] = all_ones if (reset >> position) & 1 else 0
-
-        fail_cycle = [-1] * num_faults
-        vanish_cycle = [-1] * num_faults
-        not_failed = all_ones
-
-        # Per-flop force lanes, re-applied to the held state every cycle.
-        force_mask = [0] * len(q_slots)
-        force_set = [0] * len(q_slots)
-        forced_rows: set = set()
-
-        activations: Dict[int, int] = {}
-        for lane, cycle in enumerate(schedule.first_active):
-            activations[cycle] = activations.get(cycle, 0) | (1 << lane)
-
-        state = {"injected": 0, "no_candidate": all_ones}
-
-        def apply_cycle_events(cycle: int) -> None:
-            for flop_index, lane in schedule.flips.get(cycle, ()):
-                values[q_slots[flop_index]] ^= 1 << lane
-            for flop_index, lane, value in schedule.force_on.get(cycle, ()):
-                bit = 1 << lane
-                force_mask[flop_index] |= bit
-                if value:
-                    force_set[flop_index] |= bit
-                forced_rows.add(flop_index)
-            for flop_index, lane in schedule.force_off.get(cycle, ()):
-                bit = 1 << lane
-                force_mask[flop_index] &= ~bit
-                force_set[flop_index] &= ~bit
-            for flop_index in forced_rows:
-                slot = q_slots[flop_index]
-                values[slot] = (values[slot] & ~force_mask[flop_index]) | (
-                    force_set[flop_index]
-                )
-
-        def update_vanish(state_word: int, end_cycle: int) -> None:
-            state_diff = 0
-            for position, slot in enumerate(q_slots):
-                if (state_word >> position) & 1:
-                    state_diff |= values[slot] ^ all_ones
-                else:
-                    state_diff |= values[slot]
-            conv = (state_diff ^ all_ones) & state["injected"]
-            newly = conv & state["no_candidate"]
-            if newly:
-                _set_lanes(vanish_cycle, newly, end_cycle)
-                state["no_candidate"] &= ~newly
-            lost = state_diff & state["injected"] & ~state["no_candidate"]
-            if lost:
-                _set_lanes(vanish_cycle, lost, -1)
-                state["no_candidate"] |= lost
-
-        for cycle in range(num_cycles):
-            apply_cycle_events(cycle)
-            if cycle > 0:
-                update_vanish(golden.states[cycle], cycle - 1)
-            state["injected"] |= activations.get(cycle, 0)
-
-            vector = testbench.vectors[cycle]
-            for position, slot in enumerate(compiled.input_slots):
-                values[slot] = all_ones if (vector >> position) & 1 else 0
-
-            _eval_ops_int(values, compiled.ops, all_ones)
-
-            golden_out = golden.outputs[cycle]
-            out_diff = 0
-            for position, slot in enumerate(compiled.output_slots):
-                if (golden_out >> position) & 1:
-                    out_diff |= values[slot] ^ all_ones
-                else:
-                    out_diff |= values[slot]
-            newly_failed = out_diff & not_failed & state["injected"]
-            if newly_failed:
-                _set_lanes(fail_cycle, newly_failed, cycle)
-                not_failed &= ~newly_failed
-
-            next_rows = [values[flop.d_index] for flop in compiled.flops]
-            for slot, row in zip(q_slots, next_rows):
-                values[slot] = row
-
-        apply_cycle_events(num_cycles)
-        update_vanish(golden.states[num_cycles], num_cycles - 1)
-
-        self.last_stats = {
-            "cycles_executed": num_cycles,
-            "num_cycles": num_cycles,
         }
         return fail_cycle, vanish_cycle

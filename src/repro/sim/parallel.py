@@ -17,8 +17,8 @@ the classification the autonomous emulator would read back from RAM.
 
 The execution itself lives in :mod:`repro.sim.backends`: a registry of
 interchangeable :class:`~repro.sim.backends.GradingEngine` implementations
-(``fused`` — the batched-kernel default, ``numpy``, ``bigint``), selected
-with the ``backend`` argument. Compiled netlists and golden traces are
+(``fused`` — the native-kernel default, and ``bigint``), selected with the
+``backend`` argument. Compiled netlists and golden traces are
 reused through the session caches in :mod:`repro.sim.cache`, so repeated
 campaigns on one circuit/testbench pay those costs once.
 """

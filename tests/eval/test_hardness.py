@@ -57,7 +57,7 @@ class TestB04Acceptance:
 
 
 class TestEngineAgreement:
-    @pytest.mark.parametrize("engine", ("numpy", "bigint"))
+    @pytest.mark.parametrize("engine", ("bigint",))
     def test_rates_bit_exact_across_engines(self, engine):
         """The fused report is the reference; every engine must agree."""
         kwargs = dict(

@@ -124,7 +124,7 @@ class TestCampaignEndToEnd:
         )
         scenario = spec.scenario()
         reference = None
-        for engine in ("fused", "numpy", "bigint"):
+        for engine in ("fused", "bigint"):
             result = grade_faults(
                 scenario.netlist,
                 scenario.testbench,

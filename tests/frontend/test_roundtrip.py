@@ -2,7 +2,7 @@
 
 Satellite contract: for every registered circuit, ``dumps_netlist`` ->
 ``loads_netlist`` preserves structure and produces bit-exact
-fault-grading results across all three engines; malformed ``.bnet`` /
+fault-grading results across both engines; malformed ``.bnet`` /
 ``.bench`` / BLIF input always surfaces as :class:`ParseError` (or at
 worst another :class:`ReproError`) with a line number — never a raw
 traceback.
@@ -20,7 +20,7 @@ from repro.run.spec import default_testbench_for
 from repro.sim.parallel import grade_faults
 from repro.util.rng import DeterministicRng
 
-ENGINES = ("fused", "numpy", "bigint")
+ENGINES = ("fused", "bigint")
 #: grading caps that keep every-circuit x every-engine affordable
 ROUNDTRIP_CYCLES = 12
 ROUNDTRIP_FAULTS = 48

@@ -1,7 +1,7 @@
 """Differential grading over seeded random netlists.
 
 The library's core correctness claim: for *any* netlist, fault model and
-fault, the fused, numpy and bigint engines produce bit-identical
+fault, the fused and bigint engines produce bit-identical
 (fail_cycle, vanish_cycle) verdicts — and agree with the scalar
 reference replay. This suite drives that claim over the random-netlist
 generator, plain and under every hardening transform, for every fault
@@ -18,7 +18,7 @@ from repro.sim.vectors import random_testbench
 
 from tests.property.randnet import random_netlist
 
-ENGINES = ("fused", "numpy", "bigint")
+ENGINES = ("fused", "bigint")
 MODELS = ("seu", "mbu:2", "stuck_at_0", "stuck_at_1", "intermittent")
 CYCLES = 20
 

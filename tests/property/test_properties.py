@@ -140,17 +140,17 @@ def test_oracle_agrees_with_replay_on_random_circuits(data):
         for c in range(cycles)
         for f in range(netlist.num_ffs)
     ]
-    numpy_result = grade_faults(netlist, bench, faults, backend="numpy")
+    fused_result = grade_faults(netlist, bench, faults, backend="fused")
     bigint_result = grade_faults(netlist, bench, faults, backend="bigint")
-    assert numpy_result.fail_cycles == bigint_result.fail_cycles
-    assert numpy_result.vanish_cycles == bigint_result.vanish_cycles
+    assert fused_result.fail_cycles == bigint_result.fail_cycles
+    assert fused_result.vanish_cycles == bigint_result.vanish_cycles
     golden = run_golden(netlist, bench)
     for index, fault in enumerate(faults):
         reference = replay_single_fault(
             netlist, bench, fault.flop_index, fault.cycle, golden
         )
-        assert numpy_result.fail_cycles[index] == reference["fail_cycle"]
-        assert numpy_result.vanish_cycles[index] == reference["vanish_cycle"]
+        assert fused_result.fail_cycles[index] == reference["fail_cycle"]
+        assert fused_result.vanish_cycles[index] == reference["vanish_cycle"]
 
 
 @settings(max_examples=20, deadline=None)

@@ -204,7 +204,7 @@ class TestSweep:
             [
                 "sweep",
                 "--circuits", "b01",
-                "--engines", "fused", "numpy",
+                "--engines", "fused", "bigint",
                 "--cycles", "8",
                 "--store", str(tmp_path),
                 "--quiet",

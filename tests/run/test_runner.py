@@ -134,13 +134,13 @@ class TestShardedEqualsSerial:
         spec_fused = CampaignSpec(
             circuit="b06", technique="mask_scan", num_cycles=14, engine="fused"
         )
-        spec_numpy = CampaignSpec(
-            circuit="b06", technique="mask_scan", num_cycles=14, engine="numpy"
+        spec_bigint = CampaignSpec(
+            circuit="b06", technique="mask_scan", num_cycles=14, engine="bigint"
         )
         runner = CampaignRunner(workers=1, shards=3)
         assert (
             runner.grade(spec_fused).fail_cycles
-            == runner.grade(spec_numpy).fail_cycles
+            == runner.grade(spec_bigint).fail_cycles
         )
 
     def test_board_override(self):

@@ -21,6 +21,20 @@ class TestValidation:
         with pytest.raises(Exception):
             CampaignSpec(circuit="b01", technique="mask_scan", board="ufo")
 
+    def test_unknown_engine_rejected_at_construction(self):
+        with pytest.raises(CampaignError, match="bogus"):
+            CampaignSpec(
+                circuit="b04", technique="time_multiplexed", engine="bogus"
+            )
+
+    def test_removed_numpy_engine_names_replacements(self):
+        with pytest.raises(CampaignError, match="removed") as caught:
+            CampaignSpec.from_dict(
+                {"circuit": "b04", "technique": "mask_scan", "engine": "numpy"}
+            )
+        assert "fused" in str(caught.value)
+        assert "bigint" in str(caught.value)
+
     def test_bad_counts_rejected(self):
         with pytest.raises(CampaignError):
             CampaignSpec(circuit="b01", technique="mask_scan", num_cycles=0)
@@ -70,7 +84,7 @@ class TestSerialization:
         spec = CampaignSpec(
             circuit="b09",
             technique="time_multiplexed",
-            engine="numpy",
+            engine="bigint",
             num_cycles=40,
             testbench="burst",
             seed=3,
@@ -199,7 +213,7 @@ class TestMatrix:
         specs = CampaignSpec.matrix(
             circuits=["b01", "b02"],
             techniques=["mask_scan", "state_scan"],
-            engines=["numpy", "fused"],
+            engines=["bigint", "fused"],
             num_cycles=8,
         )
         assert len(specs) == 8

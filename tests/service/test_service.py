@@ -107,6 +107,15 @@ class TestSubmission:
         status, body = _request(service, "/campaigns", body=[1, 2])
         assert status == 400
 
+    def test_removed_engine_is_400_not_a_failed_campaign(self, service):
+        status, body = _request(
+            service, "/campaigns", body={**SPEC, "engine": "numpy"}
+        )
+        assert status == 400
+        assert "removed" in body["error"]
+        status, listing = _request(service, "/campaigns")
+        assert listing["count"] == 0
+
     def test_unknown_campaign_is_404(self, service):
         status, body = _request(service, "/campaigns/b04-ffffffffff")
         assert status == 404

@@ -15,7 +15,6 @@ import pytest
 from repro.faults.model import SeuFault
 from repro.faults.models import get_fault_model
 from repro.sim.backends import available_engines, get_engine
-from repro.sim.backends.fused import FusedEngine
 from repro.sim.cycle import replay_fault, run_golden
 from repro.sim.inject import schedule_for
 from repro.sim.parallel import grade_faults
@@ -94,17 +93,35 @@ class TestCrossEngineEquivalence:
                 fault.describe()
             )
 
-    @pytest.mark.parametrize("model_name", MODELS)
-    def test_fused_plan_path_agrees(self, model_name, monkeypatch):
+    @pytest.mark.parametrize("model_name", ["seu"] + MODELS)
+    def test_no_compiler_fallback_matches_bigint(self, model_name, monkeypatch):
+        """Without the C kernel the fused engine runs the bigint loops:
+        same verdicts, reported as non-native, early exit intact."""
+        monkeypatch.setattr(
+            "repro.sim.backends.fused.native_kernel", lambda: None
+        )
+        engine = get_engine("fused")
         rng = random.Random(77)
         circuit = build_shift_register(5)
         bench = random_testbench(circuit, 16, seed=1)
         faults = model_fault_sample(model_name, circuit, 16, rng, count=66)
-        native = grade_faults(circuit, bench, faults, backend="fused")
-        monkeypatch.setattr(FusedEngine, "use_native", False)
-        plan = grade_faults(circuit, bench, faults, backend="fused")
-        assert plan.fail_cycles == native.fail_cycles
-        assert plan.vanish_cycles == native.vanish_cycles
+        fallback = grade_faults(circuit, bench, faults, backend="fused")
+        assert engine.last_stats["native"] is False
+        reference = grade_faults(circuit, bench, faults, backend="bigint")
+        assert fallback.fail_cycles == reference.fail_cycles
+        assert fallback.vanish_cycles == reference.vanish_cycles
+
+        # A constant-0 bench flushes the register: transient faults stop
+        # early, persistent ones must run the whole bench.
+        model = get_fault_model(model_name)
+        bench = constant_testbench(circuit, 200, value=0)
+        grade_faults(circuit, bench, model.population(circuit, 3), backend="fused")
+        assert engine.last_stats["native"] is False
+        executed = engine.last_stats["cycles_executed"]
+        if model.transient:
+            assert executed < 15
+        else:
+            assert executed == 200
 
     def test_word_boundary_lane_counts(self):
         circuit = build_shift_register(6)

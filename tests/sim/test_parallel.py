@@ -33,10 +33,10 @@ def test_backends_agree(name):
     circuit = CIRCUITS[name]()
     bench = random_testbench(circuit, 20, seed=4)
     faults = exhaustive_fault_list(circuit, 20)
-    numpy_result = grade_faults(circuit, bench, faults, backend="numpy")
+    fused_result = grade_faults(circuit, bench, faults, backend="fused")
     bigint_result = grade_faults(circuit, bench, faults, backend="bigint")
-    assert numpy_result.fail_cycles == bigint_result.fail_cycles
-    assert numpy_result.vanish_cycles == bigint_result.vanish_cycles
+    assert fused_result.fail_cycles == bigint_result.fail_cycles
+    assert fused_result.vanish_cycles == bigint_result.vanish_cycles
 
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
