@@ -95,6 +95,38 @@ class TestOracleSpeedContract:
                 f"fused {fused_seconds:.3f}s vs bigint {bigint_seconds:.3f}s"
             )
 
+    @pytest.mark.parametrize("model_name", ["mbu:2", "stuck_at_0"])
+    def test_fault_models_run_native_at_least_2x_bigint(
+        self, b14, b14_bench, model_name
+    ):
+        """Non-SEU models ride the same C kernel: a transient (MBU) and a
+        persistent (stuck-at) population must both beat bigint by 2x."""
+        import time
+
+        from repro.faults.models import get_fault_model
+
+        faults = get_fault_model(model_name).population(
+            b14, b14_bench.num_cycles
+        )
+        grade_faults(b14, b14_bench, faults[:64], backend="fused")
+
+        started = time.perf_counter()
+        fused = grade_faults(b14, b14_bench, faults, backend="fused")
+        fused_seconds = time.perf_counter() - started
+        native = get_engine("fused").last_stats.get("native")
+
+        started = time.perf_counter()
+        reference = grade_faults(b14, b14_bench, faults, backend="bigint")
+        bigint_seconds = time.perf_counter() - started
+
+        assert fused.fail_cycles == reference.fail_cycles
+        assert fused.vanish_cycles == reference.vanish_cycles
+        if native:
+            assert bigint_seconds / fused_seconds >= 2.0, (
+                f"{model_name}: fused {fused_seconds:.3f}s vs bigint "
+                f"{bigint_seconds:.3f}s"
+            )
+
 
 def _standalone(argv=None) -> int:
     """No-pytest smoke bench (CI runs this with ``--quick --gate-scaling``)."""

@@ -11,15 +11,15 @@ the b14 experiment.
 bit *flips* at its injection cycle plus an optional per-cycle *force* on
 its flop. The grading engines consume exactly that protocol
 (:meth:`SeuFault.flip_flops`, :meth:`SeuFault.force_value`,
-:meth:`SeuFault.force_active`), so plain SEUs keep their original
-fast path while multi-bit, stuck-at and intermittent faults share the
-same campaign machinery.
+:meth:`SeuFault.force_events`, via :mod:`repro.sim.inject`), so SEUs,
+multi-bit, stuck-at and intermittent faults share the same campaign
+machinery and the same native kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError
 from repro.netlist.netlist import Netlist
@@ -69,11 +69,13 @@ class SeuFault:
         the start of that cycle). Transient faults never force."""
         return False
 
-    def force_events(self, num_cycles: int) -> List[Tuple[int, bool]]:
+    def force_events(self, num_cycles: int) -> Sequence[Tuple[int, bool]]:
         """``(cycle, turned_on)`` transitions of the force over cycles
         ``0..num_cycles`` inclusive — ``num_cycles`` covers the state the
         circuit is left in after the bench, which classification compares
-        against the golden final state."""
+        against the golden final state. None precedes ``self.cycle``.
+        Faults with the same timing may return one shared (immutable)
+        sequence; the schedule builder converts each distinct one once."""
         return []
 
     def apply_force(self, state: int, cycle: int) -> int:

@@ -17,6 +17,7 @@ both polarities with two runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.errors import CampaignError
@@ -68,16 +69,8 @@ class IntermittentFault(SeuFault):
             return False
         return (cycle - self.cycle) % self.period < self.duty
 
-    def force_events(self, num_cycles: int) -> List[Tuple[int, bool]]:
-        events = []
-        start = self.cycle
-        while start <= num_cycles:
-            events.append((start, True))
-            release = start + self.duty
-            if release <= num_cycles:
-                events.append((release, False))
-            start += self.period
-        return events
+    def force_events(self, num_cycles: int) -> Tuple[Tuple[int, bool], ...]:
+        return _duty_events(self.cycle, self.period, self.duty, num_cycles)
 
     def describe(self) -> str:
         name = self.flop_name or f"flop[{self.flop_index}]"
@@ -85,6 +78,26 @@ class IntermittentFault(SeuFault):
             f"INT{self.value}({name} @ cycle {self.cycle}.., "
             f"{self.duty}/{self.period})"
         )
+
+
+@lru_cache(maxsize=32)
+def _duty_events(
+    onset: int, period: int, duty: int, num_cycles: int
+) -> Tuple[Tuple[int, bool], ...]:
+    """The force transitions of a duty cycle, shared by every fault with
+    the same timing (a campaign has one onset per cycle, not per fault).
+    Fault lists are cycle-major, so faults sharing an onset arrive
+    together and a small cache catches them while bounding what it
+    keeps alive."""
+    events = []
+    start = onset
+    while start <= num_cycles:
+        events.append((start, True))
+        release = start + duty
+        if release <= num_cycles:
+            events.append((release, False))
+        start += period
+    return tuple(events)
 
 
 class IntermittentModel(FaultModel):

@@ -9,13 +9,20 @@ three entry points:
 ``repro_grade_cycle``
     One full emulation cycle — input drive, the 2-input op program,
     output compare, state latch and compare — over the active column
-    range ``[w_start, w_stop)``. Every inner loop is restrict-qualified
-    so ``-O3 -march=native`` auto-vectorizes it into full-width SIMD
-    (AVX2/AVX-512 where available, NEON on arm); the portable ``-O2``
-    fallback build runs the same scalar C. When the persistent thread
-    pool is enabled the column range is split into contiguous chunks,
-    one per thread: writes are disjoint by construction, so the result
-    is bit-exact regardless of thread count.
+    range ``[w_start, w_stop)``. It speaks the injection-schedule
+    protocol of :mod:`repro.sim.inject`: given per-flop force planes
+    (``mask``, ``set``; ``n_ff`` rows of ``width`` words) the cycle starts
+    by re-applying them to the held state, ``q = (q & ~mask) | set``, and
+    the state compare moves from the latch to that post-force held state
+    (against the golden state of the *current* cycle), which is what
+    final-suffix vanish needs. Without planes (NULL: SEU and MBU) the
+    cycle does exactly the unforced work. Every inner loop is
+    restrict-qualified so ``-O3 -march=native`` auto-vectorizes it into
+    full-width SIMD (AVX2/AVX-512 where available, NEON on arm); the
+    portable ``-O2`` fallback build runs the same scalar C. When the
+    persistent thread pool is enabled the column range is split into
+    contiguous chunks, one per thread: writes are disjoint by
+    construction, so the result is bit-exact regardless of thread count.
 
 ``repro_set_threads`` / ``repro_threads``
     Configure the persistent pthread worker pool. Pool threads are
@@ -90,6 +97,7 @@ struct gc_args {
     uint64_t *state_diff;
     uint64_t *dtmp;
     long parts, chunk;
+    const uint64_t *force_mask, *force_set;
 };
 
 static void run_range(const struct gc_args *A, long lo, long hi,
@@ -98,8 +106,27 @@ static void run_range(const struct gc_args *A, long lo, long hi,
     long width = A->width;
     long wl = hi - lo;
     uint64_t *values = A->values;
+    uint64_t *restrict sd = A->state_diff + lo;
+    int forced = A->force_mask != 0;
     if (wl <= 0) return;
 
+    if (forced) {
+        /* Re-apply the per-flop force planes to the held state, then
+         * compare the post-force state with this cycle's golden state
+         * (state_mask holds the held state, not the next one). */
+        for (long w = 0; w < wl; w++) sd[w] = 0;
+        for (long i = 0; i < A->n_ff; i++) {
+            uint64_t *restrict q = values + (A->q_start + i) * width + lo;
+            const uint64_t *restrict fm = A->force_mask + i * width + lo;
+            const uint64_t *restrict fs = A->force_set + i * width + lo;
+            uint64_t m = A->state_mask[i];
+            for (long w = 0; w < wl; w++) {
+                uint64_t v = (q[w] & ~fm[w]) | fs[w];
+                q[w] = v;
+                sd[w] |= v ^ m;
+            }
+        }
+    }
     for (long i = 0; i < A->n_in; i++) {
         uint64_t m = A->in_mask[i];
         uint64_t *restrict r = values + i * width + lo;
@@ -133,12 +160,17 @@ static void run_range(const struct gc_args *A, long lo, long hi,
         for (long w = 0; w < wl; w++) od[w] |= r[w] ^ m;
     }
     /* D values go through scratch first: a flop's D net may alias
-     * another flop's Q row, so all reads happen before any Q write. */
-    uint64_t *restrict sd = A->state_diff + lo;
-    for (long w = 0; w < wl; w++) sd[w] = 0;
+     * another flop's Q row, so all reads happen before any Q write.
+     * Unforced runs compare the latched state with the next golden
+     * state on the way. */
+    if (!forced) for (long w = 0; w < wl; w++) sd[w] = 0;
     for (long i = 0; i < A->n_ff; i++) {
         const uint64_t *restrict r = values + (long)A->d_slots[i] * width + lo;
         uint64_t *restrict t = scr + i * wl;
+        if (forced) {
+            memcpy(t, r, (size_t)wl * sizeof *t);
+            continue;
+        }
         uint64_t m = A->state_mask[i];
         for (long w = 0; w < wl; w++) {
             uint64_t v = r[w];
@@ -251,12 +283,14 @@ void repro_grade_cycle(
     const int32_t *out_slots, const uint64_t *out_mask, long n_out,
     uint64_t *out_diff,
     const int32_t *d_slots, const uint64_t *state_mask, long n_ff,
-    long q_start, uint64_t *state_diff, uint64_t *dtmp)
+    long q_start, uint64_t *state_diff, uint64_t *dtmp,
+    const uint64_t *force_mask, const uint64_t *force_set)
 {
     struct gc_args A = {
         values, width, w_start, w_stop, ops, nops, in_mask, n_in,
         out_slots, out_mask, n_out, out_diff, d_slots, state_mask,
         n_ff, q_start, state_diff, dtmp, 1, w_stop - w_start,
+        force_mask, force_set,
     };
     long span = w_stop - w_start;
 #ifndef REPRO_NO_THREADS
@@ -369,6 +403,7 @@ class NativeKernel:
             pointer,  # out_diff
             pointer, pointer, longs,  # d_slots, state_mask, n_ff
             longs, pointer, pointer,  # q_start, state_diff, dtmp
+            pointer, pointer,  # force_mask, force_set (NULL: no forcing)
         ]
 
         self.compact_rows = library.repro_compact_rows

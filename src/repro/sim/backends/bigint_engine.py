@@ -1,15 +1,17 @@
 """The dependency-free bigint grading engine: one fault per int bit.
 
-Nets are arbitrary-precision Python ints, one fault per bit position. This
-engine needs nothing beyond the standard library, which makes it the
-second reference for the fused engine's native kernel and the portable
-fallback the fused engine runs for every schedule the kernel does not
-take (non-SEU fault models, or no C compiler).
+Nets are arbitrary-precision Python ints, one fault per bit position.
+The netlist is evaluated in plain Python (only the schedule's event
+tables are numpy arrays), which makes this engine the second reference
+for the fused engine's native kernel and the portable fallback the
+fused engine runs when there is no C compiler or
+``REPRO_FUSED_NATIVE=0``.
 
-Plain SEU campaigns take the original loop; other fault models run the
-generic branch (multi-flop flips, per-cycle force re-application,
-final-suffix vanish semantics) — see :mod:`repro.sim.inject`. Both loops
-stop once every verdict is final, as the native kernel does.
+Plain SEU campaigns take the one-shot-XOR loop; other fault models run
+the generic branch (multi-flop flips, per-cycle force re-application,
+final-suffix vanish semantics). Both loops read the same
+:class:`~repro.sim.inject.InjectionSchedule` as the native kernel and
+stop once every verdict is final, as it does.
 """
 
 from __future__ import annotations
@@ -93,32 +95,20 @@ def _set_lanes(target: List[int], mask: int, cycle: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# the original SEU loop (one-shot XOR, first-match vanish)
+# the SEU loop (one-shot XOR, first-match vanish)
 # ----------------------------------------------------------------------
 def _grade_simple(
     compiled: CompiledNetlist,
     testbench: Testbench,
-    faults: Sequence[SeuFault],
     golden: GoldenTrace,
+    schedule: InjectionSchedule,
 ) -> Tuple[List[int], List[int], int]:
-    num_faults = len(faults)
+    num_faults = schedule.num_faults
     all_ones = (1 << num_faults) - 1
+    q_slots = [flop.q_index for flop in compiled.flops]
 
     values = [0] * compiled.num_slots
-
-    injections: Dict[int, List] = {}
-    for index, fault in enumerate(faults):
-        q_slot = compiled.flops[fault.flop_index].q_index
-        injections.setdefault(fault.cycle, []).append((q_slot, 1 << index))
-
-    injected_mask_by_cycle: List[int] = []
-    running = 0
-    by_cycle: Dict[int, int] = {}
-    for index, fault in enumerate(faults):
-        by_cycle[fault.cycle] = by_cycle.get(fault.cycle, 0) | (1 << index)
-    for cycle in range(testbench.num_cycles):
-        running |= by_cycle.get(cycle, 0)
-        injected_mask_by_cycle.append(running)
+    injected = 0
 
     reset = golden.states[0]
     for position, flop in enumerate(compiled.flops):
@@ -130,8 +120,9 @@ def _grade_simple(
     not_vanished = all_ones
 
     for cycle in range(testbench.num_cycles):
-        for q_slot, bit in injections.get(cycle, ()):
-            values[q_slot] ^= bit
+        for flop_index, lane in schedule.flips.at(cycle).tolist():
+            values[q_slots[flop_index]] ^= 1 << lane
+            injected |= 1 << lane
 
         vector = testbench.vectors[cycle]
         for position, slot in enumerate(compiled.input_slots):
@@ -147,7 +138,6 @@ def _grade_simple(
             else:
                 out_diff |= values[slot]
 
-        injected = injected_mask_by_cycle[cycle]
         newly_failed = out_diff & not_failed & injected
         while newly_failed:
             low_bit = newly_failed & -newly_failed
@@ -212,22 +202,22 @@ def _grade_general(
     forced_rows: set = set()
 
     activations: Dict[int, int] = {}
-    for lane, cycle in enumerate(schedule.first_active):
+    for lane, cycle in enumerate(schedule.first_active.tolist()):
         activations[cycle] = activations.get(cycle, 0) | (1 << lane)
     last_activation = max(activations, default=-1)
 
     state = {"injected": 0, "no_candidate": all_ones}
 
     def apply_cycle_events(cycle: int) -> None:
-        for flop_index, lane in schedule.flips.get(cycle, ()):
+        for flop_index, lane in schedule.flips.at(cycle).tolist():
             values[q_slots[flop_index]] ^= 1 << lane
-        for flop_index, lane, value in schedule.force_on.get(cycle, ()):
+        for flop_index, lane, value in schedule.force_on.at(cycle).tolist():
             bit = 1 << lane
             force_mask[flop_index] |= bit
             if value:
                 force_set[flop_index] |= bit
             forced_rows.add(flop_index)
-        for flop_index, lane in schedule.force_off.get(cycle, ()):
+        for flop_index, lane in schedule.force_off.at(cycle).tolist():
             bit = 1 << lane
             force_mask[flop_index] &= ~bit
             force_set[flop_index] &= ~bit
@@ -300,17 +290,16 @@ def _grade_general(
 def grade_scheduled(
     compiled: CompiledNetlist,
     testbench: Testbench,
-    faults: Sequence[SeuFault],
     golden: GoldenTrace,
     schedule: InjectionSchedule,
 ) -> Tuple[List[int], List[int], int]:
-    """Grade ``faults`` under their prebuilt ``schedule``.
+    """Grade a fault list given as its prebuilt ``schedule``.
 
     Returns ``(fail_cycles, vanish_cycles, cycles_executed)``; the fused
     engine's fallback shares this entry point with :class:`BigintEngine`.
     """
     if schedule.simple:
-        return _grade_simple(compiled, testbench, faults, golden)
+        return _grade_simple(compiled, testbench, golden, schedule)
     return _grade_general(compiled, testbench, golden, schedule)
 
 
@@ -329,7 +318,7 @@ class BigintEngine(GradingEngine):
     ) -> Tuple[List[int], List[int]]:
         schedule = schedule_for(faults, testbench.num_cycles, compiled.num_flops)
         fail_cycle, vanish_cycle, executed = grade_scheduled(
-            compiled, testbench, faults, golden, schedule
+            compiled, testbench, golden, schedule
         )
         self.last_stats = {
             "cycles_executed": executed,

@@ -1,7 +1,8 @@
 """The fused grading engine: a lowered op table run by a native cycle kernel.
 
-This is the default oracle backend. For plain SEU campaigns it runs the
-lazily compiled C kernel of :mod:`repro.sim.backends._native`:
+This is the default oracle backend. For every fault model it runs the
+lazily compiled C kernel of :mod:`repro.sim.backends._native`, driven by
+the fault list's :class:`~repro.sim.inject.InjectionSchedule`:
 
 * **Compilation** — the levelized op program is lowered once per netlist
   into a flat ``(code, a, b, c, out)`` op table: buffers alias away,
@@ -14,16 +15,22 @@ lazily compiled C kernel of :mod:`repro.sim.backends._native`:
   pre-expanded once into uint64 mask rows (0 or ~0 per bit), so per-cycle
   compares are one XOR and an OR-reduction, with ``np.unpackbits`` only
   on the (usually sparse) newly-resolved words.
-* **Dead lanes and dead cycles** — fault lanes are (stably) sorted by
-  injection cycle, packed as they are injected and repacked as they
-  re-converge, so the kernel streams only live lanes. When every injected
-  fault has vanished and no injections remain, the cycle loop exits early
-  — resolved campaigns do not pay for the tail of the testbench.
+* **Injection** — fault lanes are (stably) sorted by injection cycle and
+  seeded with the golden state when injected, then get their flips (one
+  XOR for an SEU, several for an MBU). Forces (stuck-at, intermittent)
+  live in per-flop ``(mask, set)`` planes that the kernel re-applies at
+  the start of every cycle; the schedule's transitions update them.
+* **Dead lanes and dead cycles** — transient lanes are packed as they
+  are injected and repacked as they re-converge, so the kernel streams
+  only live lanes. When every injected fault has vanished and no
+  injections remain, the cycle loop exits early — resolved campaigns do
+  not pay for the tail of the testbench. Persistent lanes can re-diverge,
+  so they run to the end of the bench unpacked.
 
-Every other schedule — non-SEU fault models, or no C compiler /
-``REPRO_FUSED_NATIVE=0`` — runs the :mod:`~repro.sim.backends.bigint_engine`
-loops, which grade bit-identically and exit early under the same
-contract; ``last_stats["native"]`` says which path ran.
+Without a C compiler (or with ``REPRO_FUSED_NATIVE=0``) the engine runs
+the :mod:`~repro.sim.backends.bigint_engine` loops, which grade
+bit-identically and exit early under the same contract;
+``last_stats["native"]`` says which path ran.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from repro.faults.model import SeuFault
 from repro.sim.backends._native import native_kernel
 from repro.sim.backends.base import GradingEngine, register_engine
 from repro.sim.backends.bigint_engine import grade_scheduled
-from repro.sim.inject import schedule_for
+from repro.sim.inject import InjectionSchedule, schedule_for
 from repro.sim.compile import (
     OP_AND,
     OP_BUF,
@@ -57,6 +64,7 @@ from repro.sim.cycle import GoldenTrace
 from repro.sim.vectors import Testbench
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_ONE = np.uint64(1)
 
 # Kernel shapes a group can take.
 _K_BIN = 0  # base 2-input gate (optionally inverted)
@@ -336,25 +344,118 @@ class _LaneOrder:
 
     Sorting makes the injected lane set a prefix at every cycle, which
     keeps the active word window contiguous and lets injections index the
-    per-cycle slice ``[starts[t], ends[t])``.
+    per-cycle slice ``[starts[t], ends[t])``. The schedule's event tables
+    are relabeled in place from fault-list lanes to sorted lane indices.
     """
 
-    def __init__(self, program: FusedProgram, faults, num_cycles: int):
-        num_faults = len(faults)
-        cycles = np.fromiter(
-            (fault.cycle for fault in faults), dtype=np.int64, count=num_faults
-        )
-        flop_indices = np.fromiter(
-            (fault.flop_index for fault in faults),
-            dtype=np.int64,
-            count=num_faults,
-        )
-        self.order = np.argsort(cycles, kind="stable")
-        sorted_cycles = cycles[self.order]
-        self.lane_q = program.q_slots[flop_indices[self.order]]
-        span = np.arange(num_cycles)
+    def __init__(self, schedule: InjectionSchedule):
+        num_faults = schedule.num_faults
+        self.order = np.argsort(schedule.first_active, kind="stable")
+        sorted_lane = np.empty(num_faults, dtype=np.int64)
+        sorted_lane[self.order] = np.arange(num_faults)
+        sorted_cycles = schedule.first_active[self.order]
+        span = np.arange(schedule.num_cycles)
         self.starts = np.searchsorted(sorted_cycles, span, side="left")
         self.ends = np.searchsorted(sorted_cycles, span, side="right")
+        self.flips = schedule.flips
+        self.force_on = schedule.force_on
+        self.force_off = schedule.force_off
+        for events in (self.flips, self.force_on, self.force_off):
+            events.relabel(sorted_lane)
+
+
+def _lane_bits(positions: np.ndarray) -> tuple:
+    """(word column, one-bit mask) of each packed lane position."""
+    return positions >> 6, np.left_shift(_ONE, (positions & 63).astype(np.uint64))
+
+
+def _lanes_in(words: np.ndarray) -> np.ndarray:
+    """Packed positions of the set bits of ``words``, ascending (only the
+    nonzero words are unpacked)."""
+    nonzero = np.flatnonzero(words)
+    bits = np.flatnonzero(
+        np.unpackbits(words[nonzero].view(np.uint8), bitorder="little")
+    )
+    return (nonzero[bits >> 6] << 6) | (bits & 63)
+
+
+def _set_prefix(words: np.ndarray, count: int) -> None:
+    """Set bits ``[0, count)`` of ``words`` and clear the rest."""
+    full = count >> 6
+    words[:full] = _ONES
+    words[full:] = 0
+    if count & 63:
+        words[full] = np.uint64((1 << (count & 63)) - 1)
+
+
+def _row_addresses(rows: np.ndarray) -> List[int]:
+    """Base address of every row of a C-contiguous 2-D array."""
+    return (rows.ctypes.data + rows.strides[0] * np.arange(len(rows))).tolist()
+
+
+class _CycleKernel:
+    """The native ``grade_cycle`` bound to one grade call's buffers.
+
+    ``values`` holds one row per slot and one uint64 column per 64 lanes.
+    Forced runs also own the per-flop force planes ``force_mask`` and
+    ``force_set`` (one row per flop, same columns as ``values``). Buffer
+    and golden-row addresses are resolved once, not per cycle.
+    """
+
+    def __init__(
+        self,
+        kernel,
+        program: FusedProgram,
+        masks: tuple,
+        num_words: int,
+        forced: bool,
+    ):
+        in_masks, out_masks, self.state_masks = masks
+        self.kernel = kernel
+        self.program = program
+        self.num_words = num_words
+        num_flops = program.q_stop - program.q_start
+        self.values = np.zeros((program.num_slots, num_words), dtype=np.uint64)
+        if len(program.ones_rows):
+            self.values[program.ones_rows, :] = _ONES
+        self.out_diff = np.zeros(num_words, dtype=np.uint64)
+        self.state_diff = np.zeros(num_words, dtype=np.uint64)
+        self.force_mask = self.force_set = None
+        planes = (None, None)
+        if forced:
+            self.force_mask = np.zeros((num_flops, num_words), dtype=np.uint64)
+            self.force_set = np.zeros_like(self.force_mask)
+            planes = (self.force_mask.ctypes.data, self.force_set.ctypes.data)
+        scratch = np.empty(num_flops * (num_words + kernel.threads), dtype=np.uint64)
+        ops = np.ascontiguousarray(program.native_ops)
+        out_slots = program.output_slots.astype(np.int32)
+        d_slots = program.d_slots.astype(np.int32)
+        # owns every buffer whose address the kernel receives
+        self._keep = (scratch, ops, out_slots, d_slots, in_masks, out_masks)
+        self._in_rows = _row_addresses(in_masks)
+        self._out_rows = _row_addresses(out_masks)
+        self._state_rows = _row_addresses(self.state_masks)
+        # grade_cycle's arguments; None marks the per-cycle ones
+        self._args = [
+            self.values.ctypes.data, num_words, 0, None,  # w_stop
+            ops.ctypes.data, len(ops),
+            None, program.num_inputs,  # in_mask
+            out_slots.ctypes.data, None, len(out_slots),  # out_mask
+            self.out_diff.ctypes.data,
+            d_slots.ctypes.data, None, len(d_slots),  # state_mask
+            program.q_start, self.state_diff.ctypes.data, scratch.ctypes.data,
+            *planes,
+        ]
+
+    def __call__(self, cycle: int, state_cycle: int, n_act: int) -> None:
+        """Run ``cycle`` over word columns ``[0, n_act)``; the state
+        compare is against the golden state of ``state_cycle``."""
+        args = self._args
+        args[3] = n_act
+        args[6] = self._in_rows[cycle]
+        args[9] = self._out_rows[cycle]
+        args[13] = self._state_rows[state_cycle]
+        self.kernel.grade_cycle(*args)
 
 
 @register_engine
@@ -375,12 +476,12 @@ class FusedEngine(GradingEngine):
         num_cycles = testbench.num_cycles
 
         schedule = schedule_for(faults, num_cycles, compiled.num_flops)
-        kernel = native_kernel() if schedule.simple else None
+        kernel = native_kernel()
         if kernel is None:
-            # Non-SEU schedules and hosts without the C kernel: the
-            # bigint loops, called directly so one grade stays one call.
+            # No C kernel: the bigint loops, called directly so one
+            # grade stays one call.
             fail_cycle, vanish_cycle, executed = grade_scheduled(
-                compiled, testbench, faults, golden, schedule
+                compiled, testbench, golden, schedule
             )
             self.last_stats = {
                 "cycles_executed": executed,
@@ -390,29 +491,31 @@ class FusedEngine(GradingEngine):
             return fail_cycle, vanish_cycle
 
         program = fused_program_for(compiled)
-        lanes = _LaneOrder(program, faults, num_cycles)
-
-        # Golden words pre-unpacked to mask rows, cached per stimulus.
-        masks = _masks_for(program, testbench, golden)
+        lanes = _LaneOrder(schedule)
+        step = _CycleKernel(
+            kernel,
+            program,
+            # Golden words pre-unpacked to mask rows, cached per stimulus.
+            _masks_for(program, testbench, golden),
+            num_words,
+            forced=schedule.persistent,
+        )
 
         fail_sorted = np.full(num_faults, -1, dtype=np.int64)
         vanish_sorted = np.full(num_faults, -1, dtype=np.int64)
 
-        executed, extra = self._run_native(
-            kernel,
-            program,
-            lanes,
-            masks,
-            (num_faults, num_words, num_cycles),
-            fail_sorted,
-            vanish_sorted,
+        run = self._run_forced if schedule.persistent else self._run_transient
+        executed, extra = run(
+            step, lanes, (num_faults, num_cycles), fail_sorted, vanish_sorted
         )
+        del step  # free the lane matrix before the result lists are built
 
         self.last_stats = {
             "cycles_executed": executed,
             "num_cycles": num_cycles,
             "num_words": num_words,
             "native": True,
+            "threads": kernel.threads,
             **extra,
         }
 
@@ -423,14 +526,12 @@ class FusedEngine(GradingEngine):
         return fail_cycle.tolist(), vanish_cycle.tolist()
 
     # ------------------------------------------------------------------
-    # native path: C cycle kernel over a compacting packed lane window
+    # transient schedules (SEU, MBU): a compacting packed lane window
     # ------------------------------------------------------------------
     @staticmethod
-    def _run_native(
-        kernel,
-        program: FusedProgram,
+    def _run_transient(
+        step: _CycleKernel,
         lanes: _LaneOrder,
-        masks: tuple,
         shape: tuple,
         fail_sorted: np.ndarray,
         vanish_sorted: np.ndarray,
@@ -446,37 +547,26 @@ class FusedEngine(GradingEngine):
         heavy campaigns this cuts the streamed word columns by ~2x over
         the old contiguous word window, because a word column stayed
         active while *any* of its 64 lanes was unresolved.
-        """
-        in_masks, out_masks, state_masks = masks
-        num_faults, num_words, num_cycles = shape
-        q_start = program.q_start
-        q_stop = program.q_stop
-        ops = np.ascontiguousarray(program.native_ops)
-        out_slots = program.output_slots.astype(np.int32)
-        d_slots = program.d_slots.astype(np.int32)
-        num_flops = len(d_slots)
-        nthreads = kernel.threads
 
-        values = np.zeros((program.num_slots, num_words), dtype=np.uint64)
-        if len(program.ones_rows):
-            values[program.ones_rows, :] = _ONES
-        out_diff = np.zeros(num_words, dtype=np.uint64)
-        state_diff = np.zeros(num_words, dtype=np.uint64)
-        d_scratch = np.empty(
-            num_flops * (num_words + nthreads), dtype=np.uint64
-        )
+        A transient lane that matches the golden state tracks it from
+        then on, so vanish is the first match, compared at the latch.
+        """
+        num_faults, num_cycles = shape
+        num_words = step.num_words
+        values = step.values
+        state_masks = step.state_masks
+        q_start = step.program.q_start
+        q_stop = step.program.q_stop
+        compact_rows = step.kernel.compact_rows
 
         # per packed position: does the lane still await fail / vanish?
         not_failed = np.zeros(num_words, dtype=np.uint64)
         not_vanished = np.zeros(num_words, dtype=np.uint64)
         lane_map = np.empty(num_words * 64, dtype=np.int64)
 
-        grade_cycle = kernel.grade_cycle
-        compact_rows = kernel.compact_rows
         starts = lanes.starts
         ends = lanes.ends
-        lane_q = lanes.lane_q
-        one = np.uint64(1)
+        flips = lanes.flips
 
         packed = 0  # packed positions in use (live + not-yet-compacted)
         live = 0  # unresolved lanes among them
@@ -491,7 +581,7 @@ class FusedEngine(GradingEngine):
             if count:
                 # Seed the new positions with this cycle's golden state
                 # (mask-merged: boundary words may hold live lanes),
-                # then flip each injected flop bit.
+                # then apply the injected lanes' flips.
                 new_packed = packed + count
                 lo_word = packed >> 6
                 n_act = (new_packed + 63) >> 6
@@ -509,12 +599,9 @@ class FusedEngine(GradingEngine):
                     )
                     not_failed[word] |= new_bits
                     not_vanished[word] |= new_bits
-                positions = np.arange(packed, new_packed, dtype=np.int64)
-                np.bitwise_xor.at(
-                    values,
-                    (lane_q[first:last], positions >> 6),
-                    np.left_shift(one, (positions & 63).astype(np.uint64)),
-                )
+                rows = flips.at(cycle)
+                words, bits = _lane_bits(packed + rows[:, 1] - first)
+                np.bitwise_xor.at(values, (q_start + rows[:, 0], words), bits)
                 lane_map[packed:new_packed] = np.arange(first, last, dtype=np.int64)
                 packed = new_packed
                 live += count
@@ -526,43 +613,18 @@ class FusedEngine(GradingEngine):
                 continue
             executed = cycle + 1
 
-            grade_cycle(
-                values.ctypes.data,
-                num_words,
-                0,
-                n_act,
-                ops.ctypes.data,
-                len(ops),
-                in_masks[cycle].ctypes.data,
-                program.num_inputs,
-                out_slots.ctypes.data,
-                out_masks[cycle].ctypes.data,
-                len(out_slots),
-                out_diff.ctypes.data,
-                d_slots.ctypes.data,
-                state_masks[cycle + 1].ctypes.data,
-                num_flops,
-                q_start,
-                state_diff.ctypes.data,
-                d_scratch.ctypes.data,
-            )
+            step(cycle, cycle + 1, n_act)
 
             window_nf = not_failed[:n_act]
-            newly_failed = out_diff[:n_act] & window_nf
+            newly_failed = step.out_diff[:n_act] & window_nf
             if newly_failed.any():
-                bits = np.unpackbits(
-                    newly_failed.view(np.uint8), bitorder="little"
-                )
-                fail_sorted[lane_map[np.nonzero(bits)[0]]] = cycle
+                fail_sorted[lane_map[_lanes_in(newly_failed)]] = cycle
                 window_nf &= ~newly_failed
 
             window_nv = not_vanished[:n_act]
-            newly_vanished = ~state_diff[:n_act] & window_nv
+            newly_vanished = ~step.state_diff[:n_act] & window_nv
             if newly_vanished.any():
-                bits = np.unpackbits(
-                    newly_vanished.view(np.uint8), bitorder="little"
-                )
-                hits = np.nonzero(bits)[0]
+                hits = _lanes_in(newly_vanished)
                 vanish_sorted[lane_map[hits]] = cycle
                 window_nv &= ~newly_vanished
                 # A vanished lane tracks golden forever, so it can never
@@ -579,10 +641,7 @@ class FusedEngine(GradingEngine):
             # flop rows and the fail bookkeeping to the front, remap.
             dead = packed - live
             if dead >= 64 and dead * 16 >= packed:
-                bits = np.unpackbits(
-                    window_nv.view(np.uint8), bitorder="little"
-                )
-                kept = np.nonzero(bits)[0]
+                kept = _lanes_in(window_nv)
                 compact_rows(
                     values.ctypes.data,
                     num_words,
@@ -604,11 +663,118 @@ class FusedEngine(GradingEngine):
                 old_n_act = n_act
                 n_act = (packed + 63) >> 6
                 not_failed[n_act:old_n_act] = 0
-                not_vanished[:n_act] = _ONES
-                if packed & 63:
-                    not_vanished[n_act - 1] = np.uint64(
-                        (1 << (packed & 63)) - 1
-                    )
-                not_vanished[n_act:old_n_act] = 0
+                _set_prefix(not_vanished[:old_n_act], packed)
                 repacks += 1
-        return executed, {"repacks": repacks, "threads": nthreads}
+        return executed, {"repacks": repacks}
+
+    # ------------------------------------------------------------------
+    # persistent schedules (stuck-at, intermittent): forced lanes
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _run_forced(
+        step: _CycleKernel,
+        lanes: _LaneOrder,
+        shape: tuple,
+        fail_sorted: np.ndarray,
+        vanish_sorted: np.ndarray,
+    ) -> tuple:
+        """Simulate every injected lane to the end of the bench.
+
+        A forced lane that matches the golden state can diverge again, so
+        lanes are never repacked (packed position == sorted lane index)
+        and the loop never exits early. Each cycle the schedule's flips
+        hit the Q rows and its force transitions update the per-flop
+        ``(mask, set)`` planes; the kernel then re-applies the planes and
+        compares the post-force held state with the golden state. A lane
+        becomes a vanish candidate when it converges and loses candidacy
+        when it diverges again; the post-bench state gets the same
+        compare after the last cycle.
+        """
+        _, num_cycles = shape
+        num_words = step.num_words
+        values = step.values
+        force_mask = step.force_mask
+        force_set = step.force_set
+        q_start = step.program.q_start
+        q_stop = step.program.q_stop
+
+        not_failed = np.zeros(num_words, dtype=np.uint64)
+        injected = np.zeros(num_words, dtype=np.uint64)
+        candidate = np.zeros(num_words, dtype=np.uint64)
+
+        def apply_events(cycle: int) -> None:
+            rows = lanes.flips.at(cycle)
+            if len(rows):
+                words, bits = _lane_bits(rows[:, 1])
+                np.bitwise_xor.at(values, (q_start + rows[:, 0], words), bits)
+            rows = lanes.force_on.at(cycle)
+            if len(rows):
+                words, bits = _lane_bits(rows[:, 1])
+                np.bitwise_or.at(force_mask, (rows[:, 0], words), bits)
+                ones = rows[:, 2] != 0
+                np.bitwise_or.at(
+                    force_set, (rows[ones, 0], words[ones]), bits[ones]
+                )
+            rows = lanes.force_off.at(cycle)
+            if len(rows):
+                words, bits = _lane_bits(rows[:, 1])
+                np.bitwise_and.at(force_mask, (rows[:, 0], words), ~bits)
+                np.bitwise_and.at(force_set, (rows[:, 0], words), ~bits)
+
+        def update_vanish(diff: np.ndarray, end_cycle: int) -> None:
+            # vanish_sorted holds each candidate's convergence cycle; a
+            # lane that diverges just drops its candidate bit, and stale
+            # values of non-candidates are cleared after the last compare.
+            held = candidate[: len(diff)]
+            newly = ~diff & injected[: len(diff)] & ~held
+            if newly.any():
+                vanish_sorted[_lanes_in(newly)] = end_cycle
+            held |= newly
+            held &= ~diff
+
+        n_act = 0
+        executed = 0
+        starts = lanes.starts
+        ends = lanes.ends
+        for cycle in range(num_cycles):
+            first, last = int(starts[cycle]), int(ends[cycle])
+            if last > first:
+                # Seed the new lanes with this cycle's golden state.
+                golden_col = step.state_masks[cycle][:, None]
+                new_bits = np.zeros(num_words, dtype=np.uint64)
+                _set_prefix(new_bits, last)
+                new_bits &= ~injected
+                n_act = (last + 63) >> 6
+                window = values[q_start:q_stop, :n_act]
+                window &= ~new_bits[:n_act]
+                window |= golden_col & new_bits[:n_act]
+                not_failed |= new_bits
+            apply_events(cycle)
+            if last == 0:
+                continue
+            executed = cycle + 1
+
+            step(cycle, cycle, n_act)
+            update_vanish(step.state_diff[:n_act], cycle - 1)
+            _set_prefix(injected, last)
+
+            window_nf = not_failed[:n_act]
+            newly_failed = step.out_diff[:n_act] & window_nf
+            if newly_failed.any():
+                fail_sorted[_lanes_in(newly_failed)] = cycle
+                window_nf &= ~newly_failed
+
+        # The post-bench state: last transitions, forces, compare.
+        apply_events(num_cycles)
+        held = values[q_start:q_stop, :n_act]
+        held &= ~force_mask[:, :n_act]
+        held |= force_set[:, :n_act]
+        update_vanish(
+            np.bitwise_or.reduce(
+                held ^ step.state_masks[num_cycles][:, None], axis=0
+            ),
+            num_cycles - 1,
+        )
+        final = np.unpackbits(candidate.view(np.uint8), bitorder="little")
+        vanish_sorted[final[: len(vanish_sorted)] == 0] = -1
+        return executed, {}

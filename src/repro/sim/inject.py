@@ -1,40 +1,79 @@
 """Model-agnostic injection schedules for the grading engines.
 
-The engines' original inner loops assume every fault is a plain SEU: one
-XOR into one flop at one cycle, after which the lane evolves freely. The
-other fault models break both assumptions — MBUs flip several flops at
-once, stuck-at and intermittent faults *force* a flop every cycle — so
-each engine gains a generic execution branch driven by the
-:class:`InjectionSchedule` built here:
+A fault is, generically, a set of one-shot bit *flips* at its injection
+cycle plus an optional per-cycle *force* on its flop (see
+:class:`~repro.faults.model.SeuFault`). :func:`schedule_for` turns a fault
+list into the per-cycle work of that protocol, as cycle-bucketed int
+arrays (:class:`CycleEvents`) that every engine consumes:
 
-* ``flips``      — per-cycle one-shot XOR events ``(flop_index, lane)``;
-* ``force_on`` / ``force_off`` — per-cycle transitions of the per-lane
-  force masks ``(flop_index, lane, value)`` / ``(flop_index, lane)``;
-  engines accumulate them into ``(mask, set)`` bit-planes and re-apply
-  those planes to the held state every cycle — the per-cycle mask
-  re-application that one-shot XOR cannot express. Cycle ``num_cycles``
-  carries the transitions governing the *post-bench* state, which the
-  final SILENT/LATENT compare uses;
+* ``flips``      — rows ``(flop_index, lane)``: one-shot XOR events;
+* ``force_on`` / ``force_off`` — rows ``(flop_index, lane, value)`` /
+  ``(flop_index, lane)``: transitions of the per-lane force. Engines
+  accumulate them into per-flop ``(mask, set)`` bit-planes and re-apply
+  those planes to the held state every cycle, ``q = (q & ~mask) | set``
+  — the per-cycle re-application that one-shot XOR cannot express. Cycle
+  ``num_cycles`` carries the transitions governing the *post-bench*
+  state, which the final SILENT/LATENT compare uses;
 * ``first_active`` — each lane's injection cycle (fail/vanish gating).
+  No event of a lane precedes it, so an engine may seed a lane with the
+  golden state at its injection cycle.
 
-When every fault is a plain transient single-flip (``simple``), engines
-skip all of this and run their original fast path on the original arrays
-— the seed SEU results stay bit-exact by construction.
+Each cycle the engines apply, in order: flips, force on, force off, the
+force re-application, the vanish compare, then drive inputs, evaluate,
+compare outputs and latch.
 
-Vanish semantics differ for persistent schedules: a forced lane that
-matches the golden state can diverge again, so ``vanish_cycle`` is the
-start of the lane's *final* golden-equal suffix (candidate set on
-convergence, reset on re-divergence) rather than the first match. For
-transient faults the two definitions coincide.
+Vanish semantics differ for persistent schedules (any fault that forces
+or is marked persistent): a forced lane that matches the golden state can
+diverge again, so ``vanish_cycle`` is the start of the lane's *final*
+golden-equal suffix (candidate set on convergence, reset on
+re-divergence) rather than the first match, and the engines never retire
+its lane early. For transient faults the two definitions coincide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import CampaignError
 from repro.faults.model import SeuFault
+
+
+@dataclass
+class CycleEvents:
+    """Event rows bucketed by cycle: cycle ``t`` owns
+    ``rows[bounds[t]:bounds[t + 1]]`` for ``t`` in ``0..num_cycles``."""
+
+    #: (events, columns) int32, stably sorted by cycle
+    rows: np.ndarray
+    #: (num_cycles + 2,) bucket offsets into ``rows``
+    bounds: np.ndarray
+
+    @classmethod
+    def build(
+        cls, cycles: np.ndarray, rows: np.ndarray, num_cycles: int
+    ) -> "CycleEvents":
+        order = np.argsort(cycles, kind="stable")
+        return cls(
+            rows=rows[order],
+            bounds=np.searchsorted(
+                cycles[order], np.arange(num_cycles + 2), side="left"
+            ),
+        )
+
+    def at(self, cycle: int) -> np.ndarray:
+        """The rows of ``cycle``'s events."""
+        return self.rows[self.bounds[cycle] : self.bounds[cycle + 1]]
+
+    def relabel(self, lanes: np.ndarray) -> None:
+        """Map column 1 (the lane) through ``lanes``, in place."""
+        self.rows[:, 1] = lanes[self.rows[:, 1]]
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 @dataclass
@@ -43,18 +82,60 @@ class InjectionSchedule:
 
     num_faults: int
     num_cycles: int
-    #: every fault is a plain one-flop transient flip (legacy fast path)
+    #: every fault is a plain one-flop transient flip
     simple: bool
-    #: at least one fault re-applies a force each cycle
+    #: at least one fault forces a flop (or is marked persistent)
     persistent: bool
-    #: cycle -> [(flop_index, lane)]: one-shot XOR flips
-    flips: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
-    #: cycle -> [(flop_index, lane, value)]: force becomes active
-    force_on: Dict[int, List[Tuple[int, int, int]]] = field(default_factory=dict)
-    #: cycle -> [(flop_index, lane)]: force releases
-    force_off: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
     #: per-lane injection cycle, fault-list order
-    first_active: List[int] = field(default_factory=list)
+    first_active: np.ndarray
+    #: rows (flop_index, lane): one-shot XOR flips
+    flips: CycleEvents
+    #: rows (flop_index, lane, value): force becomes active
+    force_on: CycleEvents
+    #: rows (flop_index, lane): force releases
+    force_off: CycleEvents
+
+
+def _events(
+    cycles: np.ndarray, columns: Sequence[np.ndarray], num_cycles: int
+) -> CycleEvents:
+    rows = np.empty((len(cycles), len(columns)), dtype=np.int32)
+    for index, column in enumerate(columns):
+        rows[:, index] = column
+    return CycleEvents.build(cycles, rows, num_cycles)
+
+
+def _force_events(
+    forcers: Sequence[SeuFault], lanes: np.ndarray, num_cycles: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The events of the forcing faults ``forcers`` (on ``lanes``): each
+    event's lane, and its ``(cycle, turned_on)`` pair.
+
+    Models may share one event sequence between faults with the same
+    timing (intermittent faults do), so each distinct sequence object is
+    converted once and gathered per lane with array indexing.
+    """
+    sequences = [fault.force_events(num_cycles) for fault in forcers]
+    identities = np.fromiter(map(id, sequences), dtype=np.uint64, count=len(sequences))
+    _, first, pattern_of = np.unique(
+        identities, return_index=True, return_inverse=True
+    )
+    patterns = [sequences[index] for index in first.tolist()]
+    lengths = np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns))
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(patterns)),
+        dtype=np.int32,
+        count=2 * int(lengths.sum()),
+    ).reshape(-1, 2)
+    lane_lengths = lengths[pattern_of]
+    total = int(lane_lengths.sum())
+    # index of each lane's k-th event in `flat`: its pattern's offset + k
+    shift = (np.cumsum(lengths) - lengths)[pattern_of] - (
+        np.cumsum(lane_lengths) - lane_lengths
+    )
+    index = np.repeat(shift, lane_lengths)
+    index += np.arange(total)
+    return np.repeat(lanes, lane_lengths), flat[index]
 
 
 def schedule_for(
@@ -62,58 +143,81 @@ def schedule_for(
 ) -> InjectionSchedule:
     """Build the schedule for ``faults`` (validating flip/force targets).
 
-    The common all-SEU case is detected without materializing any event
-    lists, so the legacy engine paths pay one ``type`` check per fault and
-    nothing else.
+    Each fault's protocol methods are called once; everything after that
+    is array work.
     """
-    if all(type(fault) is SeuFault for fault in faults):
-        return InjectionSchedule(
-            num_faults=len(faults),
-            num_cycles=num_cycles,
-            simple=True,
-            persistent=False,
-        )
-
-    schedule = InjectionSchedule(
-        num_faults=len(faults),
-        num_cycles=num_cycles,
-        simple=False,
-        persistent=any(fault.persistent for fault in faults),
-        first_active=[fault.cycle for fault in faults],
+    num_faults = len(faults)
+    lanes = np.arange(num_faults, dtype=np.int64)
+    first_active = np.fromiter(
+        (fault.cycle for fault in faults), dtype=np.int64, count=num_faults
     )
-    simple = True
-    for lane, fault in enumerate(faults):
-        flips = fault.flip_flops()
-        force = fault.force_value()
-        if force is None and len(flips) == 1:
-            pass  # still expressible by the legacy path
-        else:
-            simple = False
-        for flop_index in flips:
-            if not 0 <= flop_index < num_flops:
-                raise CampaignError(
-                    f"{fault.describe()} flips flop {flop_index}; circuit "
-                    f"has only {num_flops} flops"
-                )
-            schedule.flips.setdefault(fault.cycle, []).append(
-                (flop_index, lane)
+    flop_indices = np.fromiter(
+        (fault.flop_index for fault in faults), dtype=np.int64, count=num_faults
+    )
+
+    if all(type(fault) is SeuFault for fault in faults):
+        flip_flops, flip_lanes, flip_cycles = flop_indices, lanes, first_active
+        single_flips = True
+        forces: Dict[int, int] = {}
+        marked_persistent = False
+    else:
+        flip_lists = [fault.flip_flops() for fault in faults]
+        flip_counts = np.fromiter(
+            map(len, flip_lists), dtype=np.int64, count=num_faults
+        )
+        flip_flops = np.fromiter(
+            chain.from_iterable(flip_lists),
+            dtype=np.int64,
+            count=int(flip_counts.sum()),
+        )
+        # lane -> forced value, for the faults that force their flop
+        forces = {
+            lane: force
+            for lane, fault in enumerate(faults)
+            if (force := fault.force_value()) is not None
+        }
+        marked_persistent = any(fault.persistent for fault in faults)
+        flip_lanes = np.repeat(lanes, flip_counts)
+        flip_cycles = first_active[flip_lanes]
+        single_flips = bool((flip_counts == 1).all())
+
+    bad = np.flatnonzero((flip_flops < 0) | (flip_flops >= num_flops))
+    if len(bad):
+        fault = faults[int(flip_lanes[bad[0]])]
+        raise CampaignError(
+            f"{fault.describe()} flips flop {int(flip_flops[bad[0]])}; "
+            f"circuit has only {num_flops} flops"
+        )
+    forcers = [faults[lane] for lane in forces]
+    for fault in forcers:
+        if fault.flop_index >= num_flops:
+            raise CampaignError(
+                f"{fault.describe()}: circuit has only {num_flops} flops"
             )
-        if force is not None:
-            if not 0 <= fault.flop_index < num_flops:
-                raise CampaignError(
-                    f"{fault.describe()}: circuit has only {num_flops} flops"
-                )
-            for cycle, turned_on in fault.force_events(num_cycles):
-                if turned_on:
-                    schedule.force_on.setdefault(cycle, []).append(
-                        (fault.flop_index, lane, force)
-                    )
-                else:
-                    schedule.force_off.setdefault(cycle, []).append(
-                        (fault.flop_index, lane)
-                    )
-    schedule.simple = simple and not schedule.persistent
-    return schedule
+
+    forcing = np.fromiter(forces, dtype=np.int64, count=len(forces))
+    force_values = np.zeros(num_faults, dtype=np.int64)
+    force_values[forcing] = list(forces.values())
+    event_lanes, events = _force_events(forcers, forcing, num_cycles)
+    on = events[:, 1] != 0
+    on_lanes, off_lanes = event_lanes[on], event_lanes[~on]
+    persistent = marked_persistent or bool(forces)
+    return InjectionSchedule(
+        num_faults=num_faults,
+        num_cycles=num_cycles,
+        simple=not persistent and single_flips,
+        persistent=persistent,
+        first_active=first_active,
+        flips=_events(flip_cycles, (flip_flops, flip_lanes), num_cycles),
+        force_on=_events(
+            events[on, 0],
+            (flop_indices[on_lanes], on_lanes, force_values[on_lanes]),
+            num_cycles,
+        ),
+        force_off=_events(
+            events[~on, 0], (flop_indices[off_lanes], off_lanes), num_cycles
+        ),
+    )
 
 
-__all__ = ["InjectionSchedule", "schedule_for"]
+__all__ = ["CycleEvents", "InjectionSchedule", "schedule_for"]

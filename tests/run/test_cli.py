@@ -1,9 +1,13 @@
 """Tests for the ``python -m repro`` command line."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.run.cli import main
 
 
@@ -285,3 +289,28 @@ class TestHelpText:
         code = main(["serve", "--no-store"])
         assert code == 1
         assert "--no-store" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_leaves_no_traceback(self):
+        """``repro run ... | head -1``: the reader closes the pipe before
+        the summary is written; the CLI must exit without a traceback."""
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        child = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "run", "--circuit", "b04",
+                "--sample", "300", "--no-store", "--quiet",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdout.close()  # the reader is gone before the first line
+        stderr = child.stderr.read().decode()
+        child.wait(timeout=120)
+        assert "Traceback" not in stderr, stderr
+        assert "BrokenPipeError" not in stderr, stderr

@@ -3,9 +3,10 @@
 Every grading engine must agree with the bigint reference and with the
 serial generalized replay for every fault model — the same adversarial
 structure PR 1 established for SEUs, extended to multi-bit, stuck-at and
-intermittent injection. Also locks the engine-selection contract: plain
-SEU lists take the legacy fast path (early exit intact), generalized
-lists take the per-cycle-force branch.
+intermittent injection. Also locks the engine-selection contract: with a
+C compiler every fault model runs the native kernel (transient models
+keep repacking and early exit, persistent ones run the whole bench), and
+without one the bigint loops grade identically.
 """
 
 import random
@@ -15,6 +16,11 @@ import pytest
 from repro.faults.model import SeuFault
 from repro.faults.models import get_fault_model
 from repro.sim.backends import available_engines, get_engine
+from repro.sim.backends._native import (
+    configure_threads,
+    default_threads,
+    native_kernel,
+)
 from repro.sim.cycle import replay_fault, run_golden
 from repro.sim.inject import schedule_for
 from repro.sim.parallel import grade_faults
@@ -35,19 +41,22 @@ class TestScheduleFor:
         faults = [SeuFault(cycle=1, flop_index=0), SeuFault(cycle=3, flop_index=2)]
         schedule = schedule_for(faults, 8, 4)
         assert schedule.simple and not schedule.persistent
-        assert schedule.flips == {}  # fast path never reads event lists
+        # one flip per fault, bucketed at its injection cycle
+        assert schedule.flips.at(1).tolist() == [[0, 0]]
+        assert schedule.flips.at(3).tolist() == [[2, 1]]
+        assert len(schedule.flips) == 2 and len(schedule.force_on) == 0
 
     def test_mbu_is_transient_but_not_simple(self):
         faults = get_fault_model("mbu:2").population(build_counter(), 4)[:5]
         schedule = schedule_for(faults, 4, build_counter().num_ffs)
         assert not schedule.simple and not schedule.persistent
-        assert sum(len(v) for v in schedule.flips.values()) == 10
+        assert len(schedule.flips) == 10
 
     def test_stuck_at_is_persistent(self):
         faults = get_fault_model("stuck_at_1").population(build_counter(), 4)[:5]
         schedule = schedule_for(faults, 4, build_counter().num_ffs)
         assert schedule.persistent and not schedule.simple
-        assert sum(len(v) for v in schedule.force_on.values()) == 5
+        assert len(schedule.force_on) == 5
 
     def test_out_of_range_flip_rejected(self):
         from repro.errors import CampaignError
@@ -205,3 +214,91 @@ class TestPersistentReconvergence:
         oracle = grade_faults(toggle, bench, [fault], backend="fused")
         reference = replay_fault(toggle, bench, fault)
         assert oracle.vanish_cycles[0] == reference["vanish_cycle"] == -1
+
+
+needs_kernel = pytest.mark.skipif(
+    native_kernel() is None,
+    reason="native kernel unavailable (no C compiler or REPRO_FUSED_NATIVE=0)",
+)
+
+
+@pytest.fixture
+def restore_threads():
+    """Put the kernel's thread count back however a test leaves it."""
+    yield
+    configure_threads(default_threads())
+
+
+def assert_fused_matches_bigint(circuit, bench, faults):
+    """Grade with both engines; the fused run must take the kernel."""
+    fused = grade_faults(circuit, bench, faults, backend="fused")
+    stats = dict(get_engine("fused").last_stats)
+    assert stats["native"] is True
+    bigint = grade_faults(circuit, bench, faults, backend="bigint")
+    assert fused.fail_cycles == bigint.fail_cycles
+    assert fused.vanish_cycles == bigint.vanish_cycles
+    return stats
+
+
+@needs_kernel
+class TestNativeContract:
+    """Every fault model runs the C kernel, bit-exact with bigint."""
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_every_model_runs_native(self, model_name):
+        rng = random.Random(4242)
+        circuit = build_counter()
+        bench = random_testbench(circuit, 14, seed=3)
+        faults = model_fault_sample(model_name, circuit, 14, rng)
+        grade_faults(circuit, bench, faults, backend="fused")
+        assert get_engine("fused").last_stats["native"] is True
+
+    def test_mbu_population_repacks(self):
+        """A shift register flushes most MBUs, so a wide population
+        leaves well over 64 dead lanes and the kernel repacks."""
+        circuit = build_shift_register(6)
+        bench = random_testbench(circuit, 40, seed=5)
+        faults = get_fault_model("mbu:2").population(circuit, 40)
+        assert len(faults) >= 128
+        stats = assert_fused_matches_bigint(circuit, bench, faults)
+        assert stats["repacks"] > 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model_name", ["stuck_at_1", "intermittent:4:2"])
+    def test_persistent_word_boundaries(self, model_name, threads, restore_threads):
+        configure_threads(threads)
+        circuit = build_shift_register(6)
+        bench = random_testbench(circuit, 24, seed=9)
+        population = get_fault_model(model_name).population(circuit, 24)
+        rng = random.Random(threads)
+        for count in (63, 64, 65, 130):
+            # sampled with replacement and unsorted: lanes are injected
+            # out of list order and share word columns
+            faults = [population[rng.randrange(len(population))] for _ in range(count)]
+            stats = assert_fused_matches_bigint(circuit, bench, faults)
+            assert stats["cycles_executed"] == 24
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_threaded_wide_population(self, model_name, restore_threads):
+        """Enough lanes that two pool threads each get a column chunk."""
+        from tests.property.randnet import random_netlist as wide_netlist
+
+        circuit = wide_netlist(11, min_flops=40, max_flops=48, max_gates=120)
+        bench = random_testbench(circuit, 40, seed=12)
+        population = get_fault_model(model_name).population(circuit, 40)
+        assert len(population) >= 16 * 64
+        configure_threads(2)
+        stats = assert_fused_matches_bigint(circuit, bench, population)
+        assert stats["threads"] == 2
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_sampled_b14(self, model_name):
+        from repro.circuits.itc99 import build_b14
+        from repro.circuits.itc99.b14 import b14_program_testbench
+
+        circuit = build_b14()
+        bench = b14_program_testbench(circuit, 60, seed=7)
+        population = get_fault_model(model_name).population(circuit, 60)
+        rng = random.Random(14)
+        faults = [population[rng.randrange(len(population))] for _ in range(300)]
+        assert_fused_matches_bigint(circuit, bench, faults)
