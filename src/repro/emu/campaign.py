@@ -32,8 +32,8 @@ Protocols (N = flip-flops, T = testbench cycles, fault injected at t):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,9 @@ from repro.emu.timing import CycleBreakdown, EmulationTiming
 from repro.errors import CampaignError
 from repro.faults.classify import FaultClass
 from repro.faults.dictionary import FaultDictionary
-from repro.faults.model import SeuFault, exhaustive_fault_list
+from repro.faults.faultlist import FaultList
+from repro.faults.model import SeuFault
+from repro.faults.models import get_fault_model
 from repro.netlist.netlist import Netlist
 from repro.sim.parallel import DEFAULT_BACKEND, FaultGradingResult, grade_faults
 from repro.sim.vectors import Testbench
@@ -65,16 +67,25 @@ class CampaignResult:
     num_cycles: int
     breakdown: CycleBreakdown
     timing: EmulationTiming
-    dictionary: FaultDictionary
+    oracle: FaultGradingResult = field(repr=False)
     ram: RamLayout
 
     @property
     def total_cycles(self) -> int:
         return self.breakdown.total
 
+    @property
+    def dictionary(self) -> FaultDictionary:
+        """The per-fault dictionary, decoded (once) on first access."""
+        return self.oracle.to_dictionary()
+
+    def counts(self) -> Dict[FaultClass, int]:
+        """Verdict histogram, without decoding the dictionary."""
+        return self.oracle.counts()
+
     def summary(self) -> str:
         """Text summary in the paper's Table 2 terms."""
-        counts = self.dictionary.counts()
+        counts = self.counts()
         return (
             f"{self.technique} on {self.circuit_name}: "
             f"{self.num_faults} faults, {self.total_cycles:,} cycles -> "
@@ -106,8 +117,11 @@ def run_campaign(
     parallel chains, dividing the per-fault scan-in cost — our extension
     beyond the paper's single chain.
     """
-    if faults is None:
-        faults = exhaustive_fault_list(netlist, testbench.num_cycles)
+    faults = (
+        get_fault_model("seu").population(netlist, testbench.num_cycles)
+        if faults is None
+        else FaultList.of(faults)
+    )
     if oracle is None:
         oracle = grade_faults(netlist, testbench, faults, backend=engine)
     else:
@@ -117,12 +131,12 @@ def run_campaign(
 
     breakdown = technique_breakdown(
         technique,
-        fault_cycles=[fault.cycle for fault in oracle.faults],
+        fault_cycles=oracle.faults.cycles,
         fail_cycles=oracle.fail_cycles,
         vanish_cycles=oracle.vanish_cycles,
         num_cycles=testbench.num_cycles,
         scan_in_cycles=scan_in_cost(netlist.num_ffs, scan_chains),
-        persistent=any(fault.persistent for fault in faults),
+        persistent=faults.persistent,
     )
 
     ram = ram_layout_for(
@@ -143,47 +157,33 @@ def run_campaign(
         num_cycles=testbench.num_cycles,
         breakdown=breakdown,
         timing=timing,
-        dictionary=oracle.to_dictionary(),
+        oracle=oracle,
         ram=ram,
     )
 
 
-def _fault_columns(faults: Sequence[SeuFault]):
-    count = len(faults)
-    cycles = np.fromiter(
-        (fault.cycle for fault in faults), dtype=np.int64, count=count
-    )
-    flops = np.fromiter(
-        (fault.flop_index for fault in faults), dtype=np.int64, count=count
-    )
-    return cycles, flops
-
-
-def _validate_oracle(
-    oracle: FaultGradingResult, faults: Sequence[SeuFault]
-) -> None:
+def _validate_oracle(oracle: FaultGradingResult, faults: FaultList) -> None:
     """The oracle must grade exactly the given fault sequence, in order.
 
     A length check alone would let a mismatched fault list (different
     flops, different cycles, different order) silently produce a wrong
     dictionary and wrong cycle accounting. Identity is compared on the
-    (cycle, flop_index) columns, vectorized — ``flop_name`` is derived
-    labelling, not identity.
+    (cycle, flop_index) columns — ``flop_name`` is derived labelling,
+    not identity.
     """
-    if len(oracle.faults) != len(faults):
+    graded = oracle.faults
+    if len(graded) != len(faults):
         raise CampaignError(
-            f"oracle covers {len(oracle.faults)} faults, campaign has "
+            f"oracle covers {len(graded)} faults, campaign has "
             f"{len(faults)}"
         )
-    if oracle.faults is faults:
+    if graded is faults:
         return
-    graded_cycles, graded_flops = _fault_columns(oracle.faults)
-    wanted_cycles, wanted_flops = _fault_columns(faults)
-    mismatch = (graded_cycles != wanted_cycles) | (graded_flops != wanted_flops)
+    mismatch = (graded.cycles != faults.cycles) | (graded.flops != faults.flops)
     if mismatch.any():
         index = int(np.argmax(mismatch))
         raise CampaignError(
-            f"oracle fault {index} is {oracle.faults[index].describe()}, "
+            f"oracle fault {index} is {graded[index].describe()}, "
             f"campaign expects {faults[index].describe()}"
         )
 

@@ -13,11 +13,12 @@ way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.circuits.registry import build_circuit
 from repro.emu.campaign import run_campaign
-from repro.faults.model import SeuFault, exhaustive_fault_list
+from repro.faults.faultlist import FaultList
+from repro.faults.models import get_fault_model
 from repro.netlist.netlist import Netlist
 from repro.run import worker
 from repro.run.runner import CampaignRunner
@@ -38,7 +39,7 @@ class EvalScenario:
 
     netlist: Netlist
     testbench: Testbench
-    faults: List[SeuFault]
+    faults: FaultList
     spec: Optional[CampaignSpec]
 
 
@@ -82,7 +83,7 @@ def resolve_scenario(
         bench = default_testbench_for(
             netlist, num_cycles=num_cycles, seed=seed, circuit=circuit
         )
-    faults = exhaustive_fault_list(netlist, bench.num_cycles)
+    faults = get_fault_model("seu").population(netlist, bench.num_cycles)
     return EvalScenario(netlist=netlist, testbench=bench, faults=faults, spec=None)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CampaignError
-from repro.faults.classify import FaultClass
+from repro.faults.classify import FaultClass, classification_percentages
 from repro.faults.sampling import SampleEstimate, classification_estimates
 from repro.hardening import available_schemes
 from repro.run import worker
@@ -265,17 +265,15 @@ def run_hardness_experiment(
                 {**base_spec.to_dict(), "fault_model": model}
             )
             oracle = runner.grade(spec)
-            dictionary = oracle.to_dictionary()
-            row.rates[model] = dictionary.percentages()
+            counts = oracle.counts()
+            row.rates[model] = classification_percentages(counts)
             # num_faults is how many faults were *graded*; under --sample
             # that is the sample size, not the population, so both are
             # recorded and sampled cells get Wilson intervals.
             row.samples[model] = oracle.num_faults
             row.populations[model] = spec.population_size(netlist)
             if oracle.num_faults < row.populations[model]:
-                row.estimates[model] = classification_estimates(
-                    oracle.verdicts()
-                )
+                row.estimates[model] = classification_estimates(counts)
         rows.append(row)
     return HardnessReport(
         circuit=circuit,

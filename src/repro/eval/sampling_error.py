@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.faults.classify import FaultClass, classification_counts
+from repro.faults.classify import FaultClass
 from repro.faults.sampling import SampleEstimate, classification_estimates
 from repro.run.runner import CampaignRunner
 from repro.run.spec import CampaignSpec
@@ -140,7 +140,7 @@ def sampling_error_report(
         )
         exhaustive = runner.grade(spec)
         population = exhaustive.num_faults
-        counts = classification_counts(exhaustive.verdicts())
+        counts = exhaustive.counts()
         true_rates: Dict[FaultClass, float] = {
             fault_class: count / population
             for fault_class, count in counts.items()
@@ -150,7 +150,7 @@ def sampling_error_report(
                 continue
             sampled = runner.grade(replace(spec, sample=sample))
             estimates = classification_estimates(
-                sampled.verdicts(), confidence=confidence, method=ci_method
+                sampled.counts(), confidence=confidence, method=ci_method
             )
             for fault_class in FaultClass:
                 rows.append(

@@ -2,6 +2,7 @@
 
 from repro.faults.classify import FaultClass, classification_counts, classify_outcome
 from repro.faults.dictionary import FaultDictionary, FaultRecord
+from repro.faults.faultlist import FaultList
 from repro.faults.model import SeuFault, exhaustive_fault_list, faults_for_flop
 from repro.faults.models import (
     DEFAULT_FAULT_MODEL,
@@ -26,6 +27,7 @@ __all__ = [
     "DEFAULT_FAULT_MODEL",
     "FaultClass",
     "FaultDictionary",
+    "FaultList",
     "FaultModel",
     "FaultRecord",
     "SampleEstimate",

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable
 
+import numpy as np
+
 
 class FaultClass(enum.Enum):
     """Grading verdict for a single fault."""
@@ -25,6 +27,10 @@ class FaultClass(enum.Enum):
     FAILURE = "failure"
     LATENT = "latent"
     SILENT = "silent"
+
+
+#: the verdict each :func:`classify_outcomes` code stands for
+FAULT_CLASSES = tuple(FaultClass)
 
 
 def classify_outcome(fail_cycle: int, vanish_cycle: int) -> FaultClass:
@@ -42,6 +48,17 @@ def classify_outcome(fail_cycle: int, vanish_cycle: int) -> FaultClass:
     if vanish_cycle != -1:
         return FaultClass.SILENT
     return FaultClass.LATENT
+
+
+def classify_outcomes(fail_cycles, vanish_cycles) -> np.ndarray:
+    """:func:`classify_outcome` over whole columns: each fault's verdict
+    as an index into :data:`FAULT_CLASSES` (int8)."""
+    fail = np.asarray(fail_cycles, dtype=np.int64)
+    vanish = np.asarray(vanish_cycles, dtype=np.int64)
+    codes = np.full(len(fail), FAULT_CLASSES.index(FaultClass.LATENT), np.int8)
+    codes[vanish != -1] = FAULT_CLASSES.index(FaultClass.SILENT)
+    codes[fail != -1] = FAULT_CLASSES.index(FaultClass.FAILURE)
+    return codes
 
 
 def classification_counts(classes: Iterable[FaultClass]) -> Dict[FaultClass, int]:

@@ -15,22 +15,24 @@ specs naming the same model share one object.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, Type
 
 from repro.errors import CampaignError
+from repro.faults.faultlist import FaultList
 from repro.faults.model import SeuFault
 from repro.netlist.netlist import Netlist
 
 
-class FaultModel(ABC):
+class FaultModel:
     """One injectable fault model.
 
-    Subclasses set ``name`` (the registry key) and ``transient`` (False
-    when the model forces state every cycle), and implement
-    :meth:`population`. Faults returned by :meth:`population` must be
-    cycle-major sorted so cycle windows are contiguous slices (the
-    sharded runner and the time-mux engine rely on this).
+    Subclasses set ``name`` (the registry key), ``transient`` (False
+    when the model forces state every cycle) and ``fault_type`` (the
+    fault class :meth:`fault` builds), and override :meth:`fault_fields`
+    when that class takes model constants. :meth:`population` is the
+    cycle-major (cycle, site) grid over :meth:`sites` injection sites, so
+    cycle windows are contiguous slices (the sharded runner and the
+    time-mux engine rely on this).
     """
 
     #: registry key, e.g. ``"stuck_at_0"``
@@ -42,14 +44,35 @@ class FaultModel(ABC):
     #: may early-exit on state convergence.
     transient: bool = True
 
-    @abstractmethod
-    def population(self, netlist: Netlist, num_cycles: int) -> List[SeuFault]:
+    #: the class of this model's faults
+    fault_type: Type[SeuFault] = SeuFault
+
+    def fault_fields(self) -> Dict[str, int]:
+        """The model constants every fault of this model carries."""
+        return {}
+
+    def fault(self, cycle: int, flop_index: int, flop_name: str = "") -> SeuFault:
+        """The fault injected at ``cycle`` into site ``flop_index``."""
+        return self.fault_type(
+            cycle=cycle,
+            flop_index=flop_index,
+            flop_name=flop_name,
+            **self.fault_fields(),
+        )
+
+    def sites(self, netlist: Netlist) -> int:
+        """Injection sites per cycle: flops ``0..sites-1`` start a fault."""
+        return netlist.num_ffs
+
+    def population(self, netlist: Netlist, num_cycles: int) -> FaultList:
         """The complete fault set for ``netlist`` over ``num_cycles``."""
+        if num_cycles <= 0:
+            raise CampaignError("fault list needs a positive number of cycles")
+        return FaultList.grid(num_cycles, self.sites(netlist), netlist.ff_names(), self)
 
     def population_size(self, netlist: Netlist, num_cycles: int) -> int:
-        """Size of :meth:`population` without materializing it (models
-        with a closed form override this)."""
-        return len(self.population(netlist, num_cycles))
+        """Size of :meth:`population` without building it."""
+        return self.sites(netlist) * num_cycles
 
     def describe(self) -> str:
         """One-line injection semantics (docs, CLI errors)."""

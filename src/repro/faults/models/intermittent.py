@@ -18,15 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import CampaignError
 from repro.faults.model import SeuFault
-from repro.faults.models.base import (
-    FaultModel,
-    register_model_prefix,
-)
-from repro.netlist.netlist import Netlist
+from repro.faults.models.base import FaultModel, register_model_prefix
 
 DEFAULT_PERIOD = 4
 DEFAULT_DUTY = 2
@@ -104,6 +100,7 @@ class IntermittentModel(FaultModel):
     """Duty-cycle forcing fault."""
 
     transient = False
+    fault_type = IntermittentFault
 
     def __init__(
         self,
@@ -119,27 +116,8 @@ class IntermittentModel(FaultModel):
         self.value = value
         self.name = f"intermittent:{period}:{duty}"
 
-    def population(
-        self, netlist: Netlist, num_cycles: int
-    ) -> List[IntermittentFault]:
-        if num_cycles <= 0:
-            raise CampaignError("fault list needs a positive number of cycles")
-        names = netlist.ff_names()
-        return [
-            IntermittentFault(
-                cycle=cycle,
-                flop_index=index,
-                flop_name=name,
-                value=self.value,
-                period=self.period,
-                duty=self.duty,
-            )
-            for cycle in range(num_cycles)
-            for index, name in enumerate(names)
-        ]
-
-    def population_size(self, netlist: Netlist, num_cycles: int) -> int:
-        return netlist.num_ffs * num_cycles
+    def fault_fields(self) -> Dict[str, int]:
+        return {"value": self.value, "period": self.period, "duty": self.duty}
 
     def describe(self) -> str:
         return (

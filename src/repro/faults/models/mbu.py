@@ -14,15 +14,12 @@ engines' early-exit optimizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import CampaignError
 from repro.faults.model import SeuFault
-from repro.faults.models.base import (
-    FaultModel,
-    register_model,
-    register_model_prefix,
-)
+from repro.faults.faultlist import FaultList
+from repro.faults.models.base import FaultModel, register_model_prefix
 from repro.netlist.netlist import Netlist
 
 DEFAULT_WIDTH = 2
@@ -52,6 +49,7 @@ class MbuModel(FaultModel):
     """k-adjacent-bit transient upset."""
 
     transient = True
+    fault_type = MbuFault
 
     def __init__(self, width: int = DEFAULT_WIDTH):
         if width < 2:
@@ -62,30 +60,19 @@ class MbuModel(FaultModel):
         self.width = width
         self.name = f"mbu:{width}"
 
-    def population(self, netlist: Netlist, num_cycles: int) -> List[MbuFault]:
-        if num_cycles <= 0:
-            raise CampaignError("fault list needs a positive number of cycles")
-        names = netlist.ff_names()
-        if len(names) < self.width:
+    def fault_fields(self) -> Dict[str, int]:
+        return {"width": self.width}
+
+    def sites(self, netlist: Netlist) -> int:
+        return max(0, netlist.num_ffs - self.width + 1)
+
+    def population(self, netlist: Netlist, num_cycles: int) -> FaultList:
+        if netlist.num_ffs < self.width:
             raise CampaignError(
-                f"{netlist.name!r} has {len(names)} flops; cannot inject "
+                f"{netlist.name!r} has {netlist.num_ffs} flops; cannot inject "
                 f"{self.width}-bit MBUs"
             )
-        faults = []
-        for cycle in range(num_cycles):
-            for start in range(len(names) - self.width + 1):
-                faults.append(
-                    MbuFault(
-                        cycle=cycle,
-                        flop_index=start,
-                        flop_name=names[start],
-                        width=self.width,
-                    )
-                )
-        return faults
-
-    def population_size(self, netlist: Netlist, num_cycles: int) -> int:
-        return max(0, netlist.num_ffs - self.width + 1) * num_cycles
+        return super().population(netlist, num_cycles)
 
     def describe(self) -> str:
         return (

@@ -1,18 +1,14 @@
 """The paper's fault model: transient single-bit SEU.
 
-The population is exactly :func:`repro.faults.model.exhaustive_fault_list`
-— the same :class:`~repro.faults.model.SeuFault` objects, in the same
-cycle-major order — so campaigns described through the model registry are
-bit-exact with the original hard-coded path.
+The population equals :func:`repro.faults.model.exhaustive_fault_list`
+— the same :class:`~repro.faults.model.SeuFault` values, in the same
+cycle-major order — held as columns, so campaigns described through the
+model registry are bit-exact with the original hard-coded path.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.faults.model import SeuFault, exhaustive_fault_list
 from repro.faults.models.base import FaultModel, register_model
-from repro.netlist.netlist import Netlist
 
 
 @register_model
@@ -21,12 +17,6 @@ class SeuModel(FaultModel):
 
     name = "seu"
     transient = True
-
-    def population(self, netlist: Netlist, num_cycles: int) -> List[SeuFault]:
-        return exhaustive_fault_list(netlist, num_cycles)
-
-    def population_size(self, netlist: Netlist, num_cycles: int) -> int:
-        return netlist.num_ffs * num_cycles
 
     def describe(self) -> str:
         return "transient single-bit flip: one flop XOR-ed at one cycle"

@@ -18,12 +18,11 @@ it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CampaignError
 from repro.faults.model import SeuFault
 from repro.faults.models.base import FaultModel, register_model
-from repro.netlist.netlist import Netlist
 
 
 @dataclass(frozen=True, order=True)
@@ -62,22 +61,11 @@ class StuckAtFault(SeuFault):
 
 class _StuckAtModel(FaultModel):
     transient = False
+    fault_type = StuckAtFault
     value = 0
 
-    def population(self, netlist: Netlist, num_cycles: int) -> List[StuckAtFault]:
-        if num_cycles <= 0:
-            raise CampaignError("fault list needs a positive number of cycles")
-        names = netlist.ff_names()
-        return [
-            StuckAtFault(
-                cycle=cycle, flop_index=index, flop_name=name, value=self.value
-            )
-            for cycle in range(num_cycles)
-            for index, name in enumerate(names)
-        ]
-
-    def population_size(self, netlist: Netlist, num_cycles: int) -> int:
-        return netlist.num_ffs * num_cycles
+    def fault_fields(self) -> Dict[str, int]:
+        return {"value": self.value}
 
     def describe(self) -> str:
         return (

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import CampaignError
 from repro.faults.classify import FaultClass, classification_counts
+from repro.faults.faultlist import FaultList
 from repro.faults.model import SeuFault
 from repro.util.rng import DeterministicRng
 
@@ -37,30 +40,42 @@ CI_METHODS = ("wilson", "clopper_pearson")
 # ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
+def _check_sample(count: int, population: int) -> None:
+    if count <= 0:
+        raise CampaignError("sample size must be positive")
+    if count > population:
+        raise CampaignError(
+            f"cannot sample {count} faults from a population of {population}"
+        )
+
+
+def _cycle_major(faults: FaultList, positions: Iterable[int]) -> FaultList:
+    """The faults at ``positions``, re-sorted cycle-major (then by flop)."""
+    chosen = np.sort(np.fromiter(positions, dtype=np.int64))
+    order = np.lexsort((faults.flops[chosen], faults.cycles[chosen]))
+    return faults.take(chosen[order])
+
+
 def sample_fault_list(
     faults: Sequence[SeuFault], count: int, seed: int = 0
-) -> List[SeuFault]:
+) -> FaultList:
     """Sample ``count`` faults uniformly without replacement,
     deterministically.
 
-    The sample is re-sorted cycle-major so campaign engines (notably
-    time-mux, which walks the golden state forward) process it efficiently.
+    The draw picks population *positions*, so it selects exactly the
+    faults a draw over the fault objects would. The sample is re-sorted
+    cycle-major so campaign engines (notably time-mux, which walks the
+    golden state forward) process it efficiently.
     """
-    if count <= 0:
-        raise CampaignError("sample size must be positive")
-    if count > len(faults):
-        raise CampaignError(
-            f"cannot sample {count} faults from a population of {len(faults)}"
-        )
+    faults = FaultList.of(faults)
+    _check_sample(count, len(faults))
     rng = DeterministicRng(seed).fork("fault-sample")
-    chosen = rng.sample(list(faults), count)
-    chosen.sort()
-    return chosen
+    return _cycle_major(faults, rng.sample(range(len(faults)), count))
 
 
 def stratified_sample_fault_list(
     faults: Sequence[SeuFault], count: int, seed: int = 0
-) -> List[SeuFault]:
+) -> FaultList:
     """Sample ``count`` faults stratified by flip-flop.
 
     Uniform sampling can leave rarely-hit flops unrepresented in small
@@ -72,15 +87,19 @@ def stratified_sample_fault_list(
     perturb other strata. The result is re-sorted cycle-major like the
     uniform sampler.
     """
-    if count <= 0:
-        raise CampaignError("sample size must be positive")
-    if count > len(faults):
-        raise CampaignError(
-            f"cannot sample {count} faults from a population of {len(faults)}"
+    faults = FaultList.of(faults)
+    _check_sample(count, len(faults))
+    # Each stratum: the positions of one flop's faults, population order.
+    by_flop = np.argsort(faults.flops, kind="stable")
+    flop_ids, starts, sizes = np.unique(
+        faults.flops[by_flop], return_index=True, return_counts=True
+    )
+    strata: Dict[int, List[int]] = {
+        flop: by_flop[start : start + size].tolist()
+        for flop, start, size in zip(
+            flop_ids.tolist(), starts.tolist(), sizes.tolist()
         )
-    strata: Dict[int, List[SeuFault]] = {}
-    for fault in faults:
-        strata.setdefault(fault.flop_index, []).append(fault)
+    }
 
     total = len(faults)
     quotas: Dict[int, int] = {}
@@ -113,15 +132,14 @@ def stratified_sample_fault_list(
                 spill -= 1
 
     rng = DeterministicRng(seed)
-    chosen: List[SeuFault] = []
+    chosen: List[int] = []
     for flop_index in sorted(strata):
         quota = quotas[flop_index]
         if not quota:
             continue
         stream = rng.fork(f"fault-stratum-{flop_index}")
         chosen.extend(stream.sample(strata[flop_index], quota))
-    chosen.sort()
-    return chosen
+    return _cycle_major(faults, chosen)
 
 
 def draw_sample(
@@ -129,7 +147,7 @@ def draw_sample(
     count: int,
     seed: int = 0,
     method: str = "uniform",
-) -> List[SeuFault]:
+) -> FaultList:
     """Dispatch to a named sampling method."""
     if method == "uniform":
         return sample_fault_list(faults, count, seed=seed)
@@ -348,12 +366,19 @@ class SampleEstimate:
 
 
 def classification_estimates(
-    verdicts: Iterable[FaultClass],
+    verdicts: Union[Mapping[FaultClass, int], Iterable[FaultClass]],
     confidence: float = 0.95,
     method: str = "wilson",
 ) -> Dict[FaultClass, SampleEstimate]:
-    """Per-class proportion estimates for one sampled campaign."""
-    counts = classification_counts(verdicts)
+    """Per-class proportion estimates for one sampled campaign.
+
+    ``verdicts`` is the campaign's verdicts, or their histogram (e.g.
+    :meth:`~repro.sim.parallel.FaultGradingResult.counts`).
+    """
+    if isinstance(verdicts, Mapping):
+        counts = dict(verdicts)
+    else:
+        counts = classification_counts(verdicts)
     trials = sum(counts.values())
     if trials == 0:
         raise CampaignError("cannot estimate rates from zero verdicts")

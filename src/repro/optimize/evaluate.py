@@ -28,13 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.faults.classify import FaultClass
+import numpy as np
+
 from repro.faults.sampling import SampleEstimate
 from repro.hardening import get_hardening_scheme
 from repro.optimize.assignment import HardeningAssignment
 from repro.run.runner import CampaignRunner
 from repro.run.spec import CampaignSpec
+from repro.sim.parallel import FaultGradingResult
 from repro.synth.area import AreaReport, area_of
+
+
+def _failures_per_flop(oracle: FaultGradingResult, num_flops: int) -> np.ndarray:
+    """FAILURE verdicts (an output mismatch: ``fail_cycle != -1``) per
+    flop index, over the oracle's flop column."""
+    failing = np.asarray(oracle.fail_cycles) != -1
+    return np.bincount(oracle.faults.flops[failing], minlength=num_flops)
 
 
 @dataclass(frozen=True)
@@ -143,15 +152,13 @@ class Evaluator:
             sampled = oracle.num_faults < population
         detected_flops = self._detected_flops(assignment)
         flop_names = netlist.ff_names()
-        failures = detected = 0
-        for fault, verdict in zip(oracle.faults, oracle.verdicts()):
-            if verdict is not FaultClass.FAILURE:
-                continue
-            name = fault.flop_name or flop_names[fault.flop_index]
-            if name in detected_flops:
-                detected += 1
-            else:
-                failures += 1
+        per_flop = _failures_per_flop(oracle, len(flop_names))
+        detected = sum(
+            count
+            for name, count in zip(flop_names, per_flop.tolist())
+            if name in detected_flops
+        )
+        failures = int(per_flop.sum()) - detected
         estimate: Optional[SampleEstimate] = None
         if sampled:
             estimate = SampleEstimate(
@@ -217,16 +224,16 @@ class Evaluator:
         """
         spec = replace(self.base, sampling="stratified")
         oracle = self.runner.grade(spec)
-        counts: Dict[str, List[int]] = {}
-        for fault, verdict in zip(oracle.faults, oracle.verdicts()):
-            flop = fault.flop_name or f"flop[{fault.flop_index}]"
-            entry = counts.setdefault(flop, [0, 0])
-            entry[0] += 1
-            if verdict is FaultClass.FAILURE:
-                entry[1] += 1
+        num_flops = len(oracle.flop_names)
+        faults = np.bincount(oracle.faults.flops, minlength=num_flops)
+        failures = _failures_per_flop(oracle, num_flops)
         ranks = [
-            FlopRank(flop=flop, faults=faults, failures=failures)
-            for flop, (faults, failures) in counts.items()
+            FlopRank(
+                flop=oracle.flop_names[flop] or f"flop[{flop}]",
+                faults=int(faults[flop]),
+                failures=int(failures[flop]),
+            )
+            for flop in np.flatnonzero(faults).tolist()
         ]
         ranks.sort(key=lambda rank: (-rank.failure_rate, rank.flop))
         return ranks

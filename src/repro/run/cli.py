@@ -242,13 +242,17 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _runner_from(args: argparse.Namespace) -> CampaignRunner:
+def _runner_from(args: argparse.Namespace, stream=None) -> CampaignRunner:
+    """The runner the flags describe; progress lines go to ``stream``
+    (default stdout)."""
     return CampaignRunner(
         workers=args.workers,
         shards=args.shards,
         store_root=None if args.no_store else args.store,
         resume=not args.no_resume,
-        progress=None if args.quiet else lambda line: print(line, flush=True),
+        progress=None if args.quiet else (
+            lambda line: print(line, file=stream or sys.stdout, flush=True)
+        ),
         transport=getattr(args, "transport", None),
         hosts=getattr(args, "hosts", None),
         shard_timeout=getattr(args, "shard_timeout", None),
@@ -274,25 +278,31 @@ def _spec_from(args: argparse.Namespace) -> CampaignSpec:
 
 
 def _print_estimates(
-    estimates, population: int, spec: CampaignSpec, args
+    estimates, population: int, spec: CampaignSpec, args, stream=None
 ) -> None:
     """Per-class confidence intervals of a sampled campaign."""
     trials = next(iter(estimates.values())).trials
     print(
         f"  sampled {trials}/{population} {spec.fault_model} faults "
         f"({spec.sampling}, {args.ci_method} @"
-        f"{int(args.confidence * 100)}%):"
+        f"{int(args.confidence * 100)}%):",
+        file=stream,
     )
     for fault_class in FaultClass:
-        print(f"    {fault_class.value:>8}: {estimates[fault_class].describe()}")
+        print(
+            f"    {fault_class.value:>8}: {estimates[fault_class].describe()}",
+            file=stream,
+        )
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
+    # With --json, stdout carries only the JSON document.
+    human = sys.stderr if args.json else sys.stdout
     spec = _spec_from(args)
-    runner = _runner_from(args)
+    runner = _runner_from(args, human)
     started = time.perf_counter()
     estimates = None
     adaptive_rounds = None
@@ -313,13 +323,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = runner.run(spec, oracle=oracle)
     elapsed = time.perf_counter() - started
     breakdown = result.breakdown
-    print(result.summary())
+    counts = result.counts()
+    print(result.summary(), file=human)
     print(
         f"  cycles: prologue={breakdown.prologue:,} setup={breakdown.setup:,} "
         f"run={breakdown.run:,} readback={breakdown.readback:,}"
         + "".join(
             f" {key}={value:,}" for key, value in breakdown.extra.items()
-        )
+        ),
+        file=human,
     )
     population = None
     if spec.sample is not None or estimates is not None:
@@ -334,20 +346,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     confidence=args.confidence,
                     method=args.ci_method,
                 )
-                for fault_class, count in result.dictionary.counts().items()
+                for fault_class, count in counts.items()
             }
-        _print_estimates(estimates, population, spec, args)
+        _print_estimates(estimates, population, spec, args, human)
         if adaptive_rounds is not None:
             trail = " -> ".join(
                 f"{count} ({width:.4f})" for count, width in adaptive_rounds
             )
             print(
                 f"  adaptive: target half-width {args.ci_target:.4f}, "
-                f"rounds {trail}"
+                f"rounds {trail}",
+                file=human,
             )
     if not args.no_store:
-        print(f"  store: {os.path.join(args.store, spec.campaign_id)}")
-    print(f"  wall clock: {elapsed:.3f}s ({args.workers} worker(s))")
+        print(f"  store: {os.path.join(args.store, spec.campaign_id)}", file=human)
+    print(f"  wall clock: {elapsed:.3f}s ({args.workers} worker(s))", file=human)
     if args.json:
         payload = {
             "spec": spec.to_dict(),
@@ -358,8 +371,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "emulation_ms": result.timing.milliseconds,
             "us_per_fault": result.timing.us_per_fault,
             "classification": {
-                verdict.value: count
-                for verdict, count in result.dictionary.counts().items()
+                verdict.value: count for verdict, count in counts.items()
             },
             "wall_seconds": round(elapsed, 4),
         }
@@ -1022,7 +1034,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="confidence level for sampled-campaign intervals",
     )
     run_parser.add_argument(
-        "--json", action="store_true", help="also print a JSON record"
+        "--json",
+        action="store_true",
+        help="print a JSON record as the only stdout output (the "
+        "human-readable lines go to stderr)",
     )
     run_parser.set_defaults(func=_cmd_run)
 

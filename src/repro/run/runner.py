@@ -444,7 +444,7 @@ class CampaignRunner:
             )
             oracle = self.grade(current)
             estimates = classification_estimates(
-                oracle.verdicts(), confidence=confidence, method=ci_method
+                oracle.counts(), confidence=confidence, method=ci_method
             )
             next_count = sampler.next_count(estimates)
             if self.progress:

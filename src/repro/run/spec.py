@@ -27,7 +27,7 @@ from repro.circuits.registry import build_circuit, circuit_source_path
 from repro.emu.board import BoardModel, board_by_name
 from repro.emu.instrument import TECHNIQUES
 from repro.errors import CampaignError
-from repro.faults.model import SeuFault
+from repro.faults.faultlist import FaultList
 from repro.faults.models import DEFAULT_FAULT_MODEL, FaultModel, get_fault_model
 from repro.faults.sampling import SAMPLING_METHODS, draw_sample
 from repro.netlist.netlist import Netlist
@@ -68,7 +68,7 @@ class Scenario:
 
     netlist: Netlist
     testbench: Testbench
-    faults: List[SeuFault]
+    faults: FaultList
 
 
 def default_testbench_for(
@@ -306,7 +306,7 @@ class CampaignSpec:
             netlist, self.resolved_cycles()
         )
 
-    def build_faults(self, netlist: Netlist) -> List[SeuFault]:
+    def build_faults(self, netlist: Netlist) -> FaultList:
         faults = self.fault_model_obj().population(
             netlist, self.resolved_cycles()
         )

@@ -16,21 +16,19 @@ from __future__ import annotations
 
 import sys
 import time
-from array import array
-from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.run.spec import CampaignSpec, Scenario
 
 #: per-process scenario memo: campaign id -> resolved scenario
 _SCENARIOS: Dict[str, Scenario] = {}
-#: companion memo: campaign id -> the faults' injection cycles (the
-#: bisection key for window slicing, built once per scenario)
-_CYCLES: Dict[str, List[int]] = {}
-#: memo bound: a scenario pins its full fault list (34,400 objects for
-#: b14), so long-lived processes sweeping many scenarios evict oldest-
-#: first rather than growing without bound. Rebuilding an evicted
-#: scenario is deterministic, so eviction only costs time.
+#: memo bound: a scenario pins its netlist, testbench and fault columns
+#: (two int64 columns of 34,400 entries for b14), so long-lived
+#: processes sweeping many scenarios evict oldest-first rather than
+#: growing without bound. Rebuilding an evicted scenario is
+#: deterministic, so eviction only costs time.
 MAX_CACHED_SCENARIOS = 8
 
 
@@ -54,10 +52,8 @@ def scenario_for(spec: CampaignSpec) -> Scenario:
         while len(_SCENARIOS) >= MAX_CACHED_SCENARIOS:
             oldest = next(iter(_SCENARIOS))
             del _SCENARIOS[oldest]
-            del _CYCLES[oldest]
         scenario = spec.scenario()
         _SCENARIOS[key] = scenario
-        _CYCLES[key] = [fault.cycle for fault in scenario.faults]
     return scenario
 
 
@@ -94,20 +90,18 @@ def prewarm_scenario(scenario: Scenario) -> None:
     native_kernel()
 
 
-def injection_cycles(spec: CampaignSpec) -> List[int]:
-    """The (memoized) injection cycle of every fault, fault-list order."""
-    scenario_for(spec)
-    return _CYCLES[spec.campaign_id]
+def injection_cycles(spec: CampaignSpec) -> np.ndarray:
+    """The injection cycle of every fault, fault-list order."""
+    return scenario_for(spec).faults.cycles
 
 
 def clear_scenarios() -> None:
     """Drop the per-process scenario memo (tests use this)."""
     _SCENARIOS.clear()
-    _CYCLES.clear()
 
 
 def window_slice(
-    cycles: List[int], start_cycle: int, end_cycle: int
+    cycles: np.ndarray, start_cycle: int, end_cycle: int
 ) -> Tuple[int, int]:
     """Fault-list slice [lo, hi) covering one contiguous cycle window.
 
@@ -118,7 +112,8 @@ def window_slice(
     is a contiguous slice and shard concatenation reproduces the serial
     fault order exactly.
     """
-    return bisect_left(cycles, start_cycle), bisect_left(cycles, end_cycle)
+    lo, hi = np.searchsorted(cycles, (start_cycle, end_cycle), side="left")
+    return int(lo), int(hi)
 
 
 def grade_window(
@@ -129,7 +124,6 @@ def grade_window(
     scenario = scenario_for(spec)
     return grade_scenario_window(
         scenario,
-        injection_cycles(spec),
         index,
         start_cycle,
         end_cycle,
@@ -139,7 +133,6 @@ def grade_window(
 
 def grade_scenario_window(
     scenario: Scenario,
-    cycles: List[int],
     index: int,
     start_cycle: int,
     end_cycle: int,
@@ -147,14 +140,12 @@ def grade_scenario_window(
 ) -> Dict:
     """Grade one cycle window of an already-resolved scenario.
 
-    The shared core of pool-worker and TCP-daemon shard grading:
-    ``cycles`` is the faults' injection cycles in fault-list order (the
-    window-slicing key). Returns the plain record dict both the store
-    and the wire protocol consume.
+    The shared core of pool-worker and TCP-daemon shard grading. Returns
+    the plain record dict both the store and the wire protocol consume.
     """
     from repro.sim.parallel import grade_faults
 
-    lo, hi = window_slice(cycles, start_cycle, end_cycle)
+    lo, hi = window_slice(scenario.faults.cycles, start_cycle, end_cycle)
     window_faults = scenario.faults[lo:hi]
     started = time.perf_counter()
     if window_faults:
@@ -168,8 +159,8 @@ def grade_scenario_window(
         # int32 bytes: one contiguous buffer pickles in microseconds
         # where a list of thousands of Python ints costs milliseconds
         # per shard — measurable against sub-100ms campaigns.
-        fail = array("i", map(int, result.fail_cycles)).tobytes()
-        vanish = array("i", map(int, result.vanish_cycles)).tobytes()
+        fail = np.asarray(result.fail_cycles, dtype=np.intc).tobytes()
+        vanish = np.asarray(result.vanish_cycles, dtype=np.intc).tobytes()
     else:  # a cycle window no sampled fault landed in
         fail, vanish = b"", b""
     return {

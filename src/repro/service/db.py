@@ -37,10 +37,14 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import CampaignError, ReproError, ServiceError
-from repro.faults.classify import FaultClass
+from repro.faults.classify import FAULT_CLASSES, FaultClass, classify_outcomes
+from repro.faults.faultlist import FaultList
 from repro.run.spec import CampaignSpec
 from repro.run.store import ResultsStore, ShardRecord, discover_stores
 
@@ -347,27 +351,27 @@ class ResultsDB:
     def record_outcomes(
         self,
         campaign_id: str,
-        faults,
-        fail_cycles: Iterable[int],
-        vanish_cycles: Iterable[int],
+        faults: FaultList,
+        fail_cycles: Sequence[int],
+        vanish_cycles: Sequence[int],
     ) -> int:
-        """Bulk-insert per-fault outcomes (replacing any stale rows)."""
-        from repro.faults.classify import classify_outcome
+        """Bulk-insert per-fault outcomes (replacing any stale rows).
 
-        rows = [
-            (
-                campaign_id,
-                index,
-                fault.flop_name or f"flop[{fault.flop_index}]",
-                fault.cycle,
-                int(fail),
-                int(vanish),
-                classify_outcome(int(fail), int(vanish)).value,
+        Rows are built from the population's columns and the vectorized
+        verdicts; no fault object is created.
+        """
+        verdicts = np.array([verdict.value for verdict in FAULT_CLASSES], dtype=object)
+        rows = list(
+            zip(
+                repeat(campaign_id),
+                range(len(faults)),
+                faults.flop_labels().tolist(),
+                faults.cycles.tolist(),
+                map(int, fail_cycles),
+                map(int, vanish_cycles),
+                verdicts[classify_outcomes(fail_cycles, vanish_cycles)].tolist(),
             )
-            for index, (fault, fail, vanish) in enumerate(
-                zip(faults, fail_cycles, vanish_cycles)
-            )
-        ]
+        )
         with self._lock, self._conn:
             self._conn.execute(
                 "DELETE FROM fault_outcomes WHERE campaign_id=?",

@@ -39,6 +39,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CampaignError
+from repro.faults.faultlist import FaultList
 from repro.faults.model import SeuFault
 
 
@@ -143,25 +144,24 @@ def schedule_for(
 ) -> InjectionSchedule:
     """Build the schedule for ``faults`` (validating flip/force targets).
 
-    Each fault's protocol methods are called once; everything after that
-    is array work.
+    Plain SEU lists are scheduled from their columns alone; other models
+    create each fault object once and call its protocol methods once,
+    and everything after that is array work.
     """
+    faults = FaultList.of(faults)
     num_faults = len(faults)
     lanes = np.arange(num_faults, dtype=np.int64)
-    first_active = np.fromiter(
-        (fault.cycle for fault in faults), dtype=np.int64, count=num_faults
-    )
-    flop_indices = np.fromiter(
-        (fault.flop_index for fault in faults), dtype=np.int64, count=num_faults
-    )
+    first_active = faults.cycles
+    flop_indices = faults.flops
 
-    if all(type(fault) is SeuFault for fault in faults):
+    if faults.fault_type is SeuFault:
         flip_flops, flip_lanes, flip_cycles = flop_indices, lanes, first_active
         single_flips = True
         forces: Dict[int, int] = {}
-        marked_persistent = False
+        objects: Sequence[SeuFault] = faults
     else:
-        flip_lists = [fault.flip_flops() for fault in faults]
+        objects = list(faults)
+        flip_lists = [fault.flip_flops() for fault in objects]
         flip_counts = np.fromiter(
             map(len, flip_lists), dtype=np.int64, count=num_faults
         )
@@ -173,10 +173,9 @@ def schedule_for(
         # lane -> forced value, for the faults that force their flop
         forces = {
             lane: force
-            for lane, fault in enumerate(faults)
+            for lane, fault in enumerate(objects)
             if (force := fault.force_value()) is not None
         }
-        marked_persistent = any(fault.persistent for fault in faults)
         flip_lanes = np.repeat(lanes, flip_counts)
         flip_cycles = first_active[flip_lanes]
         single_flips = bool((flip_counts == 1).all())
@@ -188,20 +187,20 @@ def schedule_for(
             f"{fault.describe()} flips flop {int(flip_flops[bad[0]])}; "
             f"circuit has only {num_flops} flops"
         )
-    forcers = [faults[lane] for lane in forces]
-    for fault in forcers:
-        if fault.flop_index >= num_flops:
-            raise CampaignError(
-                f"{fault.describe()}: circuit has only {num_flops} flops"
-            )
-
     forcing = np.fromiter(forces, dtype=np.int64, count=len(forces))
+    bad = forcing[flop_indices[forcing] >= num_flops]
+    if len(bad):
+        raise CampaignError(
+            f"{objects[int(bad[0])].describe()}: circuit has only "
+            f"{num_flops} flops"
+        )
+    forcers = [objects[lane] for lane in forcing.tolist()]
     force_values = np.zeros(num_faults, dtype=np.int64)
     force_values[forcing] = list(forces.values())
     event_lanes, events = _force_events(forcers, forcing, num_cycles)
     on = events[:, 1] != 0
     on_lanes, off_lanes = event_lanes[on], event_lanes[~on]
-    persistent = marked_persistent or bool(forces)
+    persistent = faults.persistent or bool(forces)
     return InjectionSchedule(
         num_faults=num_faults,
         num_cycles=num_cycles,

@@ -25,14 +25,21 @@ campaigns on one circuit/testbench pay those costs once.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CampaignError
-from repro.faults.classify import FaultClass, classify_outcome
+from repro.faults.classify import (
+    FAULT_CLASSES,
+    FaultClass,
+    classify_outcome,
+    classify_outcomes,
+)
 from repro.faults.dictionary import FaultDictionary, FaultRecord
+from repro.faults.faultlist import FaultList
 from repro.faults.model import SeuFault
 from repro.sim.backends import available_engines, get_engine
 from repro.sim.cache import compiled_for, golden_for
@@ -46,15 +53,23 @@ DEFAULT_BACKEND = "fused"
 
 @dataclass
 class FaultGradingResult:
-    """Per-fault grading outcomes for one campaign."""
+    """Per-fault grading outcomes for one campaign.
 
-    faults: List[SeuFault]
+    ``fail_cycles``/``vanish_cycles`` are in fault-list order; verdicts
+    and their histogram are computed over them as columns, and the
+    per-fault :class:`FaultDictionary` is built only on request.
+    """
+
+    faults: FaultList
     num_cycles: int
     flop_names: List[str]
     golden: GoldenTrace
     fail_cycles: List[int] = field(default_factory=list)
     vanish_cycles: List[int] = field(default_factory=list)
     _dictionary: Optional[FaultDictionary] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _codes: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -73,6 +88,20 @@ class FaultGradingResult:
             for fail, vanish in zip(self.fail_cycles, self.vanish_cycles)
         ]
 
+    def verdict_codes(self) -> np.ndarray:
+        """Every verdict as an index into
+        :data:`~repro.faults.classify.FAULT_CLASSES`, fault-list order
+        (computed once)."""
+        if self._codes is None:
+            self._codes = classify_outcomes(self.fail_cycles, self.vanish_cycles)
+        return self._codes
+
+    def counts(self) -> Dict[FaultClass, int]:
+        """Verdict histogram, equal to
+        ``classification_counts(self.verdicts())``."""
+        tally = np.bincount(self.verdict_codes(), minlength=len(FAULT_CLASSES))
+        return dict(zip(FAULT_CLASSES, map(int, tally)))
+
     def outcome_digest(self) -> str:
         """Content digest of the per-fault outcomes (fail/vanish cycles).
 
@@ -81,13 +110,10 @@ class FaultGradingResult:
         (and CI's fleet smoke) compare a remote-graded oracle against
         the serial reference without shipping the arrays around.
         """
-        import hashlib
-        from array import array
-
         digest = hashlib.blake2b(digest_size=16)
-        digest.update(array("i", map(int, self.fail_cycles)).tobytes())
+        digest.update(np.asarray(self.fail_cycles, dtype=np.intc).tobytes())
         digest.update(b"|")
-        digest.update(array("i", map(int, self.vanish_cycles)).tobytes())
+        digest.update(np.asarray(self.vanish_cycles, dtype=np.intc).tobytes())
         return digest.hexdigest()
 
     def to_dictionary(self) -> FaultDictionary:
@@ -124,13 +150,14 @@ def grade_faults(
     :func:`repro.sim.backends.available_engines`); all engines produce
     bit-identical results, differing only in speed.
     """
+    faults = FaultList.of(faults)
     compiled = compiled_for(netlist_or_compiled)
     _check_faults(compiled, testbench, faults)
     golden = golden_for(compiled, testbench)
     engine = get_engine(backend)
     fail, vanish = engine.grade(compiled, testbench, faults, golden)
     return FaultGradingResult(
-        faults=list(faults),
+        faults=faults,
         num_cycles=testbench.num_cycles,
         flop_names=[flop.name for flop in compiled.flops],
         golden=golden,
@@ -140,26 +167,19 @@ def grade_faults(
 
 
 def _check_faults(
-    compiled: CompiledNetlist, testbench: Testbench, faults: Sequence[SeuFault]
+    compiled: CompiledNetlist, testbench: Testbench, faults: FaultList
 ) -> None:
-    """Validate the fault list in bulk (no per-fault Python branching)."""
+    """Validate the fault list in bulk, on its columns."""
     if not faults:
         raise CampaignError("empty fault list")
-    count = len(faults)
-    cycles = np.fromiter(
-        (fault.cycle for fault in faults), dtype=np.int64, count=count
-    )
-    flop_indices = np.fromiter(
-        (fault.flop_index for fault in faults), dtype=np.int64, count=count
-    )
-    late = cycles >= testbench.num_cycles
+    late = faults.cycles >= testbench.num_cycles
     if late.any():
         fault = faults[int(np.argmax(late))]
         raise CampaignError(
             f"{fault.describe()} is beyond the {testbench.num_cycles}-cycle "
             "testbench"
         )
-    out_of_range = flop_indices >= compiled.num_flops
+    out_of_range = faults.flops >= compiled.num_flops
     if out_of_range.any():
         fault = faults[int(np.argmax(out_of_range))]
         raise CampaignError(

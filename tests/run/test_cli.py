@@ -78,6 +78,81 @@ class TestRun:
         assert "unknown circuit" in capsys.readouterr().err
 
 
+class TestJsonStdout:
+    """``run --json`` stdout is one JSON document; human lines go to
+    stderr, so the output pipes straight into ``json.load``."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--sample", "100"],
+            ["--sample", "8", "--ci-target", "0.3"],
+        ],
+        ids=["plain", "sampled", "adaptive"],
+    )
+    def test_stdout_is_exactly_one_json_document(self, extra, capsys):
+        code = main(
+            ["run", "--circuit", "b04", "--cycles", "16", "--no-store",
+             "--quiet", "--json", *extra]
+        )
+        assert code == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["spec"]["circuit"] == "b04"
+        assert "time_multiplexed on b04" in err
+        if extra:
+            assert "sampled" in err
+            assert "estimates" in payload
+
+    def test_progress_lines_go_to_stderr(self, tmp_path, capsys):
+        code = main(
+            ["run", "--circuit", "b01", "--cycles", "12", "--store",
+             str(tmp_path), "--json"]
+        )
+        assert code == 0
+        out, err = capsys.readouterr()
+        json.loads(out)
+        assert "shard 1/" in err
+
+
+class TestNoPerFaultObjects:
+    """A campaign runs from spec to verdict on the fault columns: no
+    fault object is created and the per-fault dictionary is never
+    decoded."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--circuit", "b14", "--store", "{store}"],
+            ["--circuit", "b04", "--sample", "300", "--no-store"],
+        ],
+        ids=["b14-exhaustive", "b04-sampled"],
+    )
+    def test_run_builds_no_fault_objects(self, args, tmp_path, monkeypatch, capsys):
+        from repro.faults.model import SeuFault
+        from repro.sim.parallel import FaultGradingResult
+
+        created = []
+        original_init = SeuFault.__post_init__
+
+        def counting_init(fault):
+            created.append(fault)
+            original_init(fault)
+
+        decoded = []
+        monkeypatch.setattr(SeuFault, "__post_init__", counting_init)
+        monkeypatch.setattr(
+            FaultGradingResult, "to_dictionary", lambda oracle: decoded.append(oracle)
+        )
+        argv = [arg.format(store=tmp_path) for arg in args]
+        assert main(["run", *argv, "--quiet", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sum(payload["classification"].values()) > 0
+        assert created == []
+        assert decoded == []
+
+
 class TestFaultModelFlags:
     def test_stuck_at_sampled_run_reports_intervals_and_resumes(
         self, tmp_path, capsys
@@ -146,8 +221,8 @@ class TestFaultModelFlags:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "adaptive: target half-width" in out
+        out, err = capsys.readouterr()
+        assert "adaptive: target half-width" in err
         payload = json.loads(out[out.index("{"):])
         assert payload["adaptive_rounds"]
         assert payload["estimates"]["failure"]["method"] == "clopper_pearson"

@@ -8,11 +8,13 @@ import threading
 import pytest
 
 from repro.errors import ServiceError
-from repro.faults.classify import classification_counts
+from repro.faults.classify import classification_counts, classify_outcome
 from repro.run.runner import CampaignRunner
 from repro.run.spec import CampaignSpec
 from repro.run.store import ResultsStore, discover_stores
 from repro.service.db import SCHEMA_VERSION, ResultsDB, spec_from_manifest
+
+from tests.property.test_differential import MODELS
 
 
 def _spec(**overrides):
@@ -224,6 +226,41 @@ class TestConcurrency:
         assert reader.campaign(spec.campaign_id)["status"] == "queued"
         writer.close()
         reader.close()
+
+
+# ----------------------------------------------------------------------
+# per-fault outcome rows
+# ----------------------------------------------------------------------
+class TestOutcomeRows:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rows_equal_the_materialized_faults(self, tmp_path, model):
+        """Rows are built from the population columns; they must equal
+        rows built fault object by fault object."""
+        spec = _spec(fault_model=model, sample=None)
+        oracle = _graded_store(tmp_path, spec)
+        expected = [
+            (
+                spec.campaign_id,
+                index,
+                fault.flop_name or f"flop[{fault.flop_index}]",
+                fault.cycle,
+                fail,
+                vanish,
+                classify_outcome(fail, vanish).value,
+            )
+            for index, (fault, fail, vanish) in enumerate(
+                zip(list(oracle.faults), oracle.fail_cycles, oracle.vanish_cycles)
+            )
+        ]
+        path = str(tmp_path / "svc.db")
+        with ResultsDB(path) as db:
+            db.import_root(str(tmp_path / "runs"))
+        conn = sqlite3.connect(path)
+        rows = conn.execute(
+            "SELECT * FROM fault_outcomes ORDER BY fault_index"
+        ).fetchall()
+        conn.close()
+        assert rows == expected
 
 
 # ----------------------------------------------------------------------
